@@ -220,6 +220,11 @@ func TestAssembleErrors(t *testing.T) {
 		"load r1, z(r2)",
 		"store r1, 8(rr)",
 		"rdcycle r1, r2",
+		"movi r1, 1, 2",
+		"addi r1, r2, 3, 4",
+		"load r1, 8(r2), r3",
+		"store r1, 0(r2), r3",
+		"flush 0(r1), r2",
 	}
 	for _, src := range cases {
 		if _, err := Assemble(src + "\nhalt"); err == nil {
@@ -238,21 +243,49 @@ func TestMustAssemblePanics(t *testing.T) {
 }
 
 func TestAssembleInstStringRoundTrip(t *testing.T) {
-	// Program text printed by isa should reassemble to identical instructions.
+	// Program text printed by isa should reassemble to identical
+	// instructions, for every opcode.
 	orig := NewBuilder().
+		Label("top").
+		Nop().
 		MovI(isa.R1, 7).
+		Mov(isa.R9, isa.R1).
+		Add(isa.R5, isa.R1, isa.R2).
 		AddI(isa.R2, isa.R1, 3).
+		Sub(isa.R5, isa.R2, isa.R1).
+		And(isa.R6, isa.R1, isa.R2).
+		Or(isa.R7, isa.R1, isa.R2).
+		Xor(isa.R8, isa.R1, isa.R2).
+		ShlI(isa.R10, isa.R1, 4).
+		ShrI(isa.R11, isa.R1, 63).
+		Mul(isa.R12, isa.R1, isa.R2).
+		MulI(isa.R13, isa.R1, -9).
+		Div(isa.R14, isa.R1, isa.R2).
 		Load(isa.R3, isa.R2, 32).
 		Store(isa.R2, 16, isa.R3).
+		Flush(isa.R2, -64).
 		Sqrt(isa.R4, isa.R3).
+		RdCycle(isa.R31).
+		Fence().
 		Beq(isa.R1, isa.R2, "end").
+		Bne(isa.R1, isa.R2, "top").
+		Blt(isa.R3, isa.R4, "end").
+		Bge(isa.R3, isa.R4, "top").
+		Jmp("end").
 		Label("end").
 		Halt().
 		MustBuild()
+	covered := map[isa.Op]bool{}
 	var sb strings.Builder
 	for _, in := range orig.Insts {
+		covered[in.Op] = true
 		sb.WriteString(in.String())
 		sb.WriteString("\n")
+	}
+	for op := isa.Op(0); op.Valid(); op++ {
+		if !covered[op] {
+			t.Errorf("round trip does not cover %s", op)
+		}
 	}
 	re, err := Assemble(sb.String())
 	if err != nil {

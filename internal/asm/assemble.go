@@ -90,159 +90,49 @@ func isIdent(s string) bool {
 	return true
 }
 
+// assembleInst parses one instruction by walking its opcode's operand
+// syntax (isa.Op.Operands) over the comma-separated arguments.
 func assembleInst(b *Builder, line string) error {
 	mnemonic := line
 	rest := ""
 	if i := strings.IndexAny(line, " \t"); i >= 0 {
 		mnemonic, rest = line[:i], strings.TrimSpace(line[i+1:])
 	}
-	args := splitArgs(rest)
-	switch strings.ToLower(mnemonic) {
-	case "nop":
-		return noArgs(b, args, isa.Inst{Op: isa.Nop})
-	case "halt":
-		return noArgs(b, args, isa.Inst{Op: isa.Halt})
-	case "fence":
-		return noArgs(b, args, isa.Inst{Op: isa.Fence})
-	case "movi":
-		dst, err := parseReg(args, 0)
-		if err != nil {
-			return err
-		}
-		imm, err := parseImm(args, 1)
-		if err != nil {
-			return err
-		}
-		b.MovI(dst, imm)
-		return nil
-	case "mov":
-		return twoReg(b, args, func(d, s isa.Reg) { b.Mov(d, s) })
-	case "sqrt":
-		return twoReg(b, args, func(d, s isa.Reg) { b.Sqrt(d, s) })
-	case "rdcycle":
-		dst, err := parseReg(args, 0)
-		if err != nil {
-			return err
-		}
-		if len(args) != 1 {
-			return fmt.Errorf("rdcycle takes 1 operand")
-		}
-		b.RdCycle(dst)
-		return nil
-	case "add", "sub", "and", "or", "xor", "mul", "div":
-		return threeReg(b, args, mnemonic)
-	case "addi", "muli", "shli", "shri":
-		dst, err := parseReg(args, 0)
-		if err != nil {
-			return err
-		}
-		src, err := parseReg(args, 1)
-		if err != nil {
-			return err
-		}
-		imm, err := parseImm(args, 2)
-		if err != nil {
-			return err
-		}
-		switch strings.ToLower(mnemonic) {
-		case "addi":
-			b.AddI(dst, src, imm)
-		case "muli":
-			b.MulI(dst, src, imm)
-		case "shli":
-			b.ShlI(dst, src, imm)
-		case "shri":
-			b.ShrI(dst, src, imm)
-		}
-		return nil
-	case "load":
-		dst, err := parseReg(args, 0)
-		if err != nil {
-			return err
-		}
-		off, base, err := parseMemOperand(args, 1)
-		if err != nil {
-			return err
-		}
-		b.Load(dst, base, off)
-		return nil
-	case "store":
-		val, err := parseReg(args, 0)
-		if err != nil {
-			return err
-		}
-		off, base, err := parseMemOperand(args, 1)
-		if err != nil {
-			return err
-		}
-		b.Store(base, off, val)
-		return nil
-	case "flush":
-		off, base, err := parseMemOperand(args, 0)
-		if err != nil {
-			return err
-		}
-		b.Flush(base, off)
-		return nil
-	case "beq", "bne", "blt", "bge":
-		s1, err := parseReg(args, 0)
-		if err != nil {
-			return err
-		}
-		s2, err := parseReg(args, 1)
-		if err != nil {
-			return err
-		}
-		if len(args) != 3 {
-			return fmt.Errorf("%s takes 3 operands", mnemonic)
-		}
-		return emitBranch(b, strings.ToLower(mnemonic), s1, s2, args[2])
-	case "jmp":
-		if len(args) != 1 {
-			return fmt.Errorf("jmp takes 1 operand")
-		}
-		return emitBranch(b, "jmp", 0, 0, args[0])
-	default:
+	op, ok := isa.ParseOp(strings.ToLower(mnemonic))
+	if !ok {
 		return fmt.Errorf("unknown mnemonic %q", mnemonic)
 	}
-}
-
-func emitBranch(b *Builder, mnemonic string, s1, s2 isa.Reg, target string) error {
-	if strings.HasPrefix(target, "@") {
-		pc, err := strconv.Atoi(target[1:])
+	syntax := op.Operands()
+	args := splitArgs(rest)
+	if len(args) != len(syntax) {
+		return fmt.Errorf("%s takes %d operands, got %d", op, len(syntax), len(args))
+	}
+	in := isa.Inst{Op: op}
+	label := ""
+	for i, arg := range args {
+		var err error
+		switch syntax[i] {
+		case 'd':
+			in.Dst, err = parseReg(arg)
+		case 'a':
+			in.Src1, err = parseReg(arg)
+		case 'b':
+			in.Src2, err = parseReg(arg)
+		case 'i':
+			in.Imm, err = parseImm(arg)
+		case 'm':
+			in.Imm, in.Src1, err = parseMemOperand(arg)
+		case 't':
+			in.Target, label, err = parseTarget(arg)
+		}
 		if err != nil {
-			return fmt.Errorf("bad numeric target %q", target)
+			return fmt.Errorf("operand %d: %w", i+1, err)
 		}
-		var op isa.Op
-		switch mnemonic {
-		case "beq":
-			op = isa.Beq
-		case "bne":
-			op = isa.Bne
-		case "blt":
-			op = isa.Blt
-		case "bge":
-			op = isa.Bge
-		case "jmp":
-			op = isa.Jmp
-		}
-		b.Emit(isa.Inst{Op: op, Src1: s1, Src2: s2, Target: pc})
-		return nil
 	}
-	if !isIdent(target) {
-		return fmt.Errorf("bad branch target %q", target)
-	}
-	switch mnemonic {
-	case "beq":
-		b.Beq(s1, s2, target)
-	case "bne":
-		b.Bne(s1, s2, target)
-	case "blt":
-		b.Blt(s1, s2, target)
-	case "bge":
-		b.Bge(s1, s2, target)
-	case "jmp":
-		b.Jmp(target)
+	if label != "" {
+		b.emitTo(in, label)
+	} else {
+		b.Emit(in)
 	}
 	return nil
 }
@@ -258,111 +148,57 @@ func splitArgs(s string) []string {
 	return parts
 }
 
-func noArgs(b *Builder, args []string, in isa.Inst) error {
-	if len(args) != 0 {
-		return fmt.Errorf("%s takes no operands", in.Op)
+func parseReg(s string) (isa.Reg, error) {
+	l := strings.ToLower(s)
+	if !strings.HasPrefix(l, "r") {
+		return 0, fmt.Errorf("expected register, got %q", s)
 	}
-	b.Emit(in)
-	return nil
-}
-
-func twoReg(b *Builder, args []string, emit func(d, s isa.Reg)) error {
-	d, err := parseReg(args, 0)
-	if err != nil {
-		return err
-	}
-	s, err := parseReg(args, 1)
-	if err != nil {
-		return err
-	}
-	if len(args) != 2 {
-		return fmt.Errorf("expected 2 operands, got %d", len(args))
-	}
-	emit(d, s)
-	return nil
-}
-
-func threeReg(b *Builder, args []string, mnemonic string) error {
-	d, err := parseReg(args, 0)
-	if err != nil {
-		return err
-	}
-	s1, err := parseReg(args, 1)
-	if err != nil {
-		return err
-	}
-	s2, err := parseReg(args, 2)
-	if err != nil {
-		return err
-	}
-	if len(args) != 3 {
-		return fmt.Errorf("expected 3 operands, got %d", len(args))
-	}
-	switch strings.ToLower(mnemonic) {
-	case "add":
-		b.Add(d, s1, s2)
-	case "sub":
-		b.Sub(d, s1, s2)
-	case "and":
-		b.And(d, s1, s2)
-	case "or":
-		b.Or(d, s1, s2)
-	case "xor":
-		b.Xor(d, s1, s2)
-	case "mul":
-		b.Mul(d, s1, s2)
-	case "div":
-		b.Div(d, s1, s2)
-	}
-	return nil
-}
-
-func parseReg(args []string, i int) (isa.Reg, error) {
-	if i >= len(args) {
-		return 0, fmt.Errorf("missing operand %d", i+1)
-	}
-	s := strings.ToLower(args[i])
-	if !strings.HasPrefix(s, "r") {
-		return 0, fmt.Errorf("operand %d: expected register, got %q", i+1, args[i])
-	}
-	n, err := strconv.Atoi(s[1:])
+	n, err := strconv.Atoi(l[1:])
 	if err != nil || n < 0 || n >= isa.NumRegs {
-		return 0, fmt.Errorf("operand %d: bad register %q", i+1, args[i])
+		return 0, fmt.Errorf("bad register %q", s)
 	}
 	return isa.Reg(n), nil
 }
 
-func parseImm(args []string, i int) (int64, error) {
-	if i >= len(args) {
-		return 0, fmt.Errorf("missing operand %d", i+1)
-	}
-	v, err := strconv.ParseInt(args[i], 0, 64)
+func parseImm(s string) (int64, error) {
+	v, err := strconv.ParseInt(s, 0, 64)
 	if err != nil {
-		return 0, fmt.Errorf("operand %d: bad immediate %q", i+1, args[i])
+		return 0, fmt.Errorf("bad immediate %q", s)
 	}
 	return v, nil
 }
 
 // parseMemOperand parses "off(base)" or "(base)".
-func parseMemOperand(args []string, i int) (off int64, base isa.Reg, err error) {
-	if i >= len(args) {
-		return 0, 0, fmt.Errorf("missing operand %d", i+1)
-	}
-	s := args[i]
+func parseMemOperand(s string) (off int64, base isa.Reg, err error) {
 	open := strings.Index(s, "(")
 	if open < 0 || !strings.HasSuffix(s, ")") {
-		return 0, 0, fmt.Errorf("operand %d: expected off(base), got %q", i+1, s)
+		return 0, 0, fmt.Errorf("expected off(base), got %q", s)
 	}
 	if open > 0 {
 		off, err = strconv.ParseInt(s[:open], 0, 64)
 		if err != nil {
-			return 0, 0, fmt.Errorf("operand %d: bad offset in %q", i+1, s)
+			return 0, 0, fmt.Errorf("bad offset in %q", s)
 		}
 	}
-	inner := s[open+1 : len(s)-1]
-	base, err = parseReg([]string{inner}, 0)
+	base, err = parseReg(s[open+1 : len(s)-1])
 	if err != nil {
-		return 0, 0, fmt.Errorf("operand %d: bad base in %q", i+1, s)
+		return 0, 0, fmt.Errorf("bad base in %q", s)
 	}
 	return off, base, nil
+}
+
+// parseTarget parses a branch target: an absolute "@N" instruction index,
+// or a label name resolved when the program is built.
+func parseTarget(s string) (pc int, label string, err error) {
+	if strings.HasPrefix(s, "@") {
+		pc, err = strconv.Atoi(s[1:])
+		if err != nil {
+			return 0, "", fmt.Errorf("bad numeric target %q", s)
+		}
+		return pc, "", nil
+	}
+	if !isIdent(s) {
+		return 0, "", fmt.Errorf("bad branch target %q", s)
+	}
+	return 0, s, nil
 }

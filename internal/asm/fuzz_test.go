@@ -92,15 +92,12 @@ func canonInst(in isa.Inst) isa.Inst {
 	if n > 1 {
 		out.Src2 = srcs[1]
 	}
-	switch in.Op {
-	case isa.MovI, isa.AddI, isa.MulI, isa.ShlI, isa.ShrI,
-		isa.Load, isa.Store, isa.Flush:
+	if strings.ContainsAny(in.Op.Operands(), "im") {
 		out.Imm = in.Imm
 	}
 	if in.IsBranch() {
 		out.Target = in.Target
 	}
-	// Store reads Src1 (base) and Src2 (value) via Uses; keep both.
 	return out
 }
 

@@ -291,10 +291,6 @@ func runArch(prog *isa.Program, env Env) (archTrace, error) {
 			tr.regs = regs
 			return tr, nil
 		case isa.Nop, isa.Fence, isa.Flush:
-		case isa.MovI:
-			regs[in.Dst], slow[in.Dst] = in.Imm, false
-		case isa.Mov:
-			regs[in.Dst], slow[in.Dst] = regs[in.Src1], slow[in.Src1]
 		case isa.Load:
 			addr := regs[in.Src1] + in.Imm
 			line := mem.LineAddr(addr)
@@ -311,7 +307,7 @@ func runArch(prog *isa.Program, env Env) (archTrace, error) {
 			// defines differently (see crossCheck).
 			regs[in.Dst], slow[in.Dst] = 0, false
 		case isa.Beq, isa.Bne, isa.Blt, isa.Bge:
-			taken := emu.BranchTaken(in.Op, regs[in.Src1], regs[in.Src2])
+			taken := isa.BranchTaken(in.Op, regs[in.Src1], regs[in.Src2])
 			v := branchVisit{pc: pc, taken: taken}
 			if len(tr.branches) < maxExploredBranches {
 				r, sl := regs, slow
@@ -328,7 +324,7 @@ func runArch(prog *isa.Program, env Env) (archTrace, error) {
 		case isa.Jmp:
 			next = in.Target
 		default:
-			regs[in.Dst] = alu(in, regs[in.Src1], regs[in.Src2])
+			regs[in.Dst] = isa.Eval(in, regs[in.Src1], regs[in.Src2])
 			srcs, ns := in.Uses()
 			sl := false
 			for i := 0; i < ns; i++ {
@@ -339,43 +335,6 @@ func runArch(prog *isa.Program, env Env) (archTrace, error) {
 		pc = next
 	}
 	return tr, fmt.Errorf("stepper: %w", emu.ErrStepLimit)
-}
-
-// alu evaluates a register-writing arithmetic/logic instruction with the
-// emulator's semantics (shared SafeDiv/ISqrt ensure bit-equality).
-func alu(in isa.Inst, a, b int64) int64 {
-	switch in.Op {
-	case isa.MovI:
-		return in.Imm
-	case isa.Mov:
-		return a
-	case isa.Add:
-		return a + b
-	case isa.AddI:
-		return a + in.Imm
-	case isa.Sub:
-		return a - b
-	case isa.And:
-		return a & b
-	case isa.Or:
-		return a | b
-	case isa.Xor:
-		return a ^ b
-	case isa.ShlI:
-		return a << uint(in.Imm&63)
-	case isa.ShrI:
-		return int64(uint64(a) >> uint(in.Imm&63))
-	case isa.Mul:
-		return a * b
-	case isa.MulI:
-		return a * in.Imm
-	case isa.Div:
-		return emu.SafeDiv(a, b)
-	case isa.Sqrt:
-		return emu.ISqrt(a)
-	default:
-		panic(fmt.Sprintf("detect: alu on %s", in.Op))
-	}
 }
 
 // crossCheck pins the stepper to the emu golden model: branch streams and
@@ -506,7 +465,7 @@ func explore(prog *isa.Program, policy uarch.SpecPolicy, facts Facts, env Env, a
 			if !issued {
 				return w // direction unknowable, stop the window
 			}
-			if emu.BranchTaken(in.Op, regs[in.Src1], regs[in.Src2]) {
+			if isa.BranchTaken(in.Op, regs[in.Src1], regs[in.Src2]) {
 				next = in.Target
 			}
 		case in.Op == isa.Load:
@@ -551,7 +510,7 @@ func explore(prog *isa.Program, policy uarch.SpecPolicy, facts Facts, env Env, a
 				}
 			}
 			if in.HasDst() {
-				regs[in.Dst] = alu(in, regs[in.Src1], regs[in.Src2])
+				regs[in.Dst] = isa.Eval(in, regs[in.Src1], regs[in.Src2])
 				slow[in.Dst], unavail[in.Dst] = anySlow, false
 			}
 		}

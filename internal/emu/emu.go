@@ -102,34 +102,6 @@ func (e *Machine) Run() (*Result, error) {
 			res.Halted = true
 			res.Regs = e.regs
 			return res, nil
-		case isa.MovI:
-			e.regs[in.Dst] = in.Imm
-		case isa.Mov:
-			e.regs[in.Dst] = e.regs[in.Src1]
-		case isa.Add:
-			e.regs[in.Dst] = e.regs[in.Src1] + e.regs[in.Src2]
-		case isa.AddI:
-			e.regs[in.Dst] = e.regs[in.Src1] + in.Imm
-		case isa.Sub:
-			e.regs[in.Dst] = e.regs[in.Src1] - e.regs[in.Src2]
-		case isa.And:
-			e.regs[in.Dst] = e.regs[in.Src1] & e.regs[in.Src2]
-		case isa.Or:
-			e.regs[in.Dst] = e.regs[in.Src1] | e.regs[in.Src2]
-		case isa.Xor:
-			e.regs[in.Dst] = e.regs[in.Src1] ^ e.regs[in.Src2]
-		case isa.ShlI:
-			e.regs[in.Dst] = e.regs[in.Src1] << uint(in.Imm&63)
-		case isa.ShrI:
-			e.regs[in.Dst] = int64(uint64(e.regs[in.Src1]) >> uint(in.Imm&63))
-		case isa.Mul:
-			e.regs[in.Dst] = e.regs[in.Src1] * e.regs[in.Src2]
-		case isa.MulI:
-			e.regs[in.Dst] = e.regs[in.Src1] * in.Imm
-		case isa.Div:
-			e.regs[in.Dst] = SafeDiv(e.regs[in.Src1], e.regs[in.Src2])
-		case isa.Sqrt:
-			e.regs[in.Dst] = ISqrt(e.regs[in.Src1])
 		case isa.Load:
 			addr := e.regs[in.Src1] + in.Imm
 			e.regs[in.Dst] = e.mem.Read64(addr)
@@ -143,7 +115,7 @@ func (e *Machine) Run() (*Result, error) {
 			// cycles; instruction count is the closest monotone analog.
 			e.regs[in.Dst] = int64(res.InstCount)
 		case isa.Beq, isa.Bne, isa.Blt, isa.Bge:
-			taken := BranchTaken(in.Op, e.regs[in.Src1], e.regs[in.Src2])
+			taken := isa.BranchTaken(in.Op, e.regs[in.Src1], e.regs[in.Src2])
 			if e.RecordBranches {
 				res.Branches = append(res.Branches, BranchRecord{PC: pc, Taken: taken})
 			}
@@ -153,64 +125,13 @@ func (e *Machine) Run() (*Result, error) {
 		case isa.Jmp:
 			next = in.Target
 		default:
-			return nil, fmt.Errorf("emu: unimplemented opcode %s at pc %d", in.Op, pc)
+			if !in.HasDst() {
+				return nil, fmt.Errorf("emu: unimplemented opcode %s at pc %d", in.Op, pc)
+			}
+			e.regs[in.Dst] = isa.Eval(in, e.regs[in.Src1], e.regs[in.Src2])
 		}
 		pc = next
 	}
 	res.Regs = e.regs
 	return res, fmt.Errorf("emu: %w after %d instructions", ErrStepLimit, max)
-}
-
-// BranchTaken evaluates a conditional branch condition. Shared with the
-// out-of-order core so both machines agree on semantics.
-func BranchTaken(op isa.Op, a, b int64) bool {
-	switch op {
-	case isa.Beq:
-		return a == b
-	case isa.Bne:
-		return a != b
-	case isa.Blt:
-		return a < b
-	case isa.Bge:
-		return a >= b
-	default:
-		panic(fmt.Sprintf("emu: %s is not a conditional branch", op))
-	}
-}
-
-// SafeDiv is the ISA's division: x/y with y==0 yielding 0 (no faults in
-// this machine; Meltdown-style exception speculation is out of scope).
-func SafeDiv(x, y int64) int64 {
-	if y == 0 {
-		return 0
-	}
-	return x / y
-}
-
-// ISqrt is the ISA's integer square root of |x|.
-func ISqrt(x int64) int64 {
-	if x < 0 {
-		x = -x
-	}
-	if x < 2 {
-		return x
-	}
-	// Newton's method on integers.
-	r := int64(1) << ((bits64(x) + 1) / 2)
-	for {
-		nr := (r + x/r) / 2
-		if nr >= r {
-			return r
-		}
-		r = nr
-	}
-}
-
-func bits64(x int64) uint {
-	n := uint(0)
-	for x > 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }

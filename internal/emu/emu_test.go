@@ -2,9 +2,7 @@ package emu
 
 import (
 	"errors"
-	"math"
 	"testing"
-	"testing/quick"
 
 	"specinterference/internal/asm"
 	"specinterference/internal/isa"
@@ -236,66 +234,6 @@ func TestFlushAndFenceAreArchitecturalNops(t *testing.T) {
 	if res.Regs[isa.R3] != 5 {
 		t.Errorf("r3 = %d, want 5", res.Regs[isa.R3])
 	}
-}
-
-func TestISqrt(t *testing.T) {
-	cases := map[int64]int64{0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 8: 2, 9: 3,
-		15: 3, 16: 4, 1 << 40: 1 << 20, -9: 3}
-	for x, want := range cases {
-		if got := ISqrt(x); got != want {
-			t.Errorf("ISqrt(%d) = %d, want %d", x, got, want)
-		}
-	}
-}
-
-func TestISqrtProperty(t *testing.T) {
-	f := func(xRaw int32) bool {
-		x := int64(xRaw)
-		r := ISqrt(x)
-		ax := x
-		if ax < 0 {
-			ax = -ax
-		}
-		return r >= 0 && r*r <= ax && (r+1)*(r+1) > ax
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestISqrtMatchesFloat(t *testing.T) {
-	for x := int64(0); x < 10000; x += 7 {
-		if got, want := ISqrt(x), int64(math.Sqrt(float64(x))); got != want {
-			t.Fatalf("ISqrt(%d) = %d, float says %d", x, got, want)
-		}
-	}
-}
-
-func TestBranchTaken(t *testing.T) {
-	cases := []struct {
-		op   isa.Op
-		a, b int64
-		want bool
-	}{
-		{isa.Beq, 1, 1, true}, {isa.Beq, 1, 2, false},
-		{isa.Bne, 1, 2, true}, {isa.Bne, 2, 2, false},
-		{isa.Blt, -1, 0, true}, {isa.Blt, 0, 0, false},
-		{isa.Bge, 0, 0, true}, {isa.Bge, -1, 0, false},
-	}
-	for _, c := range cases {
-		if got := BranchTaken(c.op, c.a, c.b); got != c.want {
-			t.Errorf("BranchTaken(%s, %d, %d) = %v", c.op, c.a, c.b, c.want)
-		}
-	}
-}
-
-func TestBranchTakenPanicsOnNonBranch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	BranchTaken(isa.Add, 0, 0)
 }
 
 func TestPointerChase(t *testing.T) {

@@ -815,7 +815,8 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
+	// A nil buffer starts at bufio's 4 KiB and grows only for long lines.
+	sc.Buffer(nil, 1<<26)
 	accepted := 0
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())

@@ -15,7 +15,10 @@
 //   - conditional branches are predicted by a mistrainable predictor.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Reg names an architectural register. The machine has NumRegs general
 // purpose registers R0..R31. R0 is an ordinary register (not hardwired).
@@ -137,41 +140,93 @@ const (
 	numOps
 )
 
-var opNames = [numOps]string{
-	Nop:     "nop",
-	Halt:    "halt",
-	MovI:    "movi",
-	Mov:     "mov",
-	Add:     "add",
-	AddI:    "addi",
-	Sub:     "sub",
-	And:     "and",
-	Or:      "or",
-	Xor:     "xor",
-	ShlI:    "shli",
-	ShrI:    "shri",
-	Mul:     "mul",
-	MulI:    "muli",
-	Div:     "div",
-	Sqrt:    "sqrt",
-	Load:    "load",
-	Store:   "store",
-	Flush:   "flush",
-	RdCycle: "rdcycle",
-	Beq:     "beq",
-	Bne:     "bne",
-	Blt:     "blt",
-	Bge:     "bge",
-	Jmp:     "jmp",
-	Fence:   "fence",
+// opRow is everything static about one opcode. Every other per-opcode
+// fact (def/use registers, printing, parsing) is derived from it.
+type opRow struct {
+	name  string
+	class Class
+	// syntax lists the operands in assembler order, one letter each:
+	// d=Dst, a=Src1, b=Src2, i=Imm, m=Imm(Src1), t=Target.
+	syntax string
 }
+
+var opTable = [numOps]opRow{
+	Nop:     {"nop", ClassNone, ""},
+	Halt:    {"halt", ClassNone, ""},
+	MovI:    {"movi", ClassALU, "di"},
+	Mov:     {"mov", ClassALU, "da"},
+	Add:     {"add", ClassALU, "dab"},
+	AddI:    {"addi", ClassALU, "dai"},
+	Sub:     {"sub", ClassALU, "dab"},
+	And:     {"and", ClassALU, "dab"},
+	Or:      {"or", ClassALU, "dab"},
+	Xor:     {"xor", ClassALU, "dab"},
+	ShlI:    {"shli", ClassALU, "dai"},
+	ShrI:    {"shri", ClassALU, "dai"},
+	Mul:     {"mul", ClassMul, "dab"},
+	MulI:    {"muli", ClassMul, "dai"},
+	Div:     {"div", ClassSqrt, "dab"},
+	Sqrt:    {"sqrt", ClassSqrt, "da"},
+	Load:    {"load", ClassLoad, "dm"},
+	Store:   {"store", ClassStore, "bm"},
+	Flush:   {"flush", ClassLoad, "m"},
+	RdCycle: {"rdcycle", ClassALU, "d"},
+	Beq:     {"beq", ClassBranch, "abt"},
+	Bne:     {"bne", ClassBranch, "abt"},
+	Blt:     {"blt", ClassBranch, "abt"},
+	Bge:     {"bge", ClassBranch, "abt"},
+	Jmp:     {"jmp", ClassBranch, "t"},
+	Fence:   {"fence", ClassNone, ""},
+}
+
+// decoded caches the class and register operands of each opcode, so the
+// core's hot stages read a field instead of scanning a syntax string. It
+// has a row for every uint8, so an invalid opcode reads as ClassNone with
+// no operands and no bounds check is needed. Uses lists Src1 before Src2;
+// no opcode reads Src2 without Src1.
+var decoded = func() (f [256]struct {
+	class Class
+	dst   bool
+	nsrc  int
+}) {
+	for o, row := range opTable {
+		f[o].class = row.class
+		f[o].dst = strings.Contains(row.syntax, "d")
+		for _, k := range row.syntax {
+			if k == 'a' || k == 'm' || k == 'b' {
+				f[o].nsrc++
+			}
+		}
+	}
+	return f
+}()
 
 // String implements fmt.Stringer.
 func (o Op) String() string {
-	if int(o) < len(opNames) && opNames[o] != "" {
-		return opNames[o]
+	if o.Valid() {
+		return opTable[o].name
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
+}
+
+// ParseOp returns the opcode whose mnemonic is name.
+func ParseOp(name string) (Op, bool) {
+	for o, row := range opTable {
+		if row.name == name {
+			return Op(o), true
+		}
+	}
+	return 0, false
+}
+
+// Operands returns the opcode's operand syntax in assembler order, one
+// letter per operand: d=Dst, a=Src1, b=Src2, i=Imm, m=Imm(Src1) (a memory
+// operand), t=Target. Invalid opcodes have none.
+func (o Op) Operands() string {
+	if o.Valid() {
+		return opTable[o].syntax
+	}
+	return ""
 }
 
 // Valid reports whether o is a defined opcode.
@@ -224,24 +279,7 @@ func (c Class) String() string {
 }
 
 // OpClass returns the execution class of an opcode.
-func OpClass(o Op) Class {
-	switch o {
-	case Add, AddI, Sub, And, Or, Xor, ShlI, ShrI, Mov, MovI, RdCycle:
-		return ClassALU
-	case Mul, MulI:
-		return ClassMul
-	case Div, Sqrt:
-		return ClassSqrt
-	case Load, Flush:
-		return ClassLoad
-	case Store:
-		return ClassStore
-	case Beq, Bne, Blt, Bge, Jmp:
-		return ClassBranch
-	default:
-		return ClassNone
-	}
-}
+func OpClass(o Op) Class { return decoded[o].class }
 
 // Latencies (cycles from issue to completion) for each class, excluding
 // memory operations whose latency depends on the cache hierarchy. These are
@@ -296,14 +334,7 @@ type Inst struct {
 }
 
 // HasDst reports whether the instruction writes a destination register.
-func (in Inst) HasDst() bool {
-	switch in.Op {
-	case MovI, Mov, Add, AddI, Sub, And, Or, Xor, ShlI, ShrI,
-		Mul, MulI, Div, Sqrt, Load, RdCycle:
-		return true
-	}
-	return false
-}
+func (in Inst) HasDst() bool { return decoded[in.Op].dst }
 
 // Defs returns the register the instruction writes and whether it writes
 // one at all — the def half of static use/def walking (Uses is the use
@@ -319,42 +350,20 @@ func (in Inst) Defs() (Reg, bool) {
 // Uses returns the source registers read by the instruction. The second
 // return value counts how many of the two entries are meaningful.
 func (in Inst) Uses() (srcs [2]Reg, n int) {
-	switch in.Op {
-	case Mov, AddI, MulI, ShlI, ShrI, Sqrt, Load, Flush:
-		return [2]Reg{in.Src1}, 1
-	case Add, Sub, And, Or, Xor, Mul, Div, Store, Beq, Bne, Blt, Bge:
-		return [2]Reg{in.Src1, in.Src2}, 2
-	default:
-		return [2]Reg{}, 0
-	}
+	return [2]Reg{in.Src1, in.Src2}, decoded[in.Op].nsrc
 }
 
 // IsBranch reports whether the instruction is a control-flow instruction.
-func (in Inst) IsBranch() bool {
-	switch in.Op {
-	case Beq, Bne, Blt, Bge, Jmp:
-		return true
-	}
-	return false
-}
+func (in Inst) IsBranch() bool { return in.Class() == ClassBranch }
 
 // IsCondBranch reports whether the instruction is a conditional branch
 // (predicted; may mispredict and squash).
-func (in Inst) IsCondBranch() bool {
-	switch in.Op {
-	case Beq, Bne, Blt, Bge:
-		return true
-	}
-	return false
-}
+func (in Inst) IsCondBranch() bool { return in.IsBranch() && in.Op != Jmp }
 
 // IsMem reports whether the instruction accesses data memory.
 func (in Inst) IsMem() bool {
-	switch in.Op {
-	case Load, Store, Flush:
-		return true
-	}
-	return false
+	c := in.Class()
+	return c == ClassLoad || c == ClassStore
 }
 
 // MaySquash reports whether the instruction can trigger a pipeline squash.
@@ -371,34 +380,33 @@ func (in Inst) Class() Class { return OpClass(in.Op) }
 
 // String renders the instruction in assembler syntax.
 func (in Inst) String() string {
-	switch in.Op {
-	case Nop, Halt, Fence:
-		return in.Op.String()
-	case MovI:
-		return fmt.Sprintf("%s %s, %d", in.Op, in.Dst, in.Imm)
-	case Mov:
-		return fmt.Sprintf("%s %s, %s", in.Op, in.Dst, in.Src1)
-	case AddI, MulI, ShlI, ShrI:
-		return fmt.Sprintf("%s %s, %s, %d", in.Op, in.Dst, in.Src1, in.Imm)
-	case Add, Sub, And, Or, Xor, Mul, Div:
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, in.Dst, in.Src1, in.Src2)
-	case Sqrt:
-		return fmt.Sprintf("%s %s, %s", in.Op, in.Dst, in.Src1)
-	case Load:
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, in.Dst, in.Imm, in.Src1)
-	case Store:
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, in.Src2, in.Imm, in.Src1)
-	case Flush:
-		return fmt.Sprintf("%s %d(%s)", in.Op, in.Imm, in.Src1)
-	case RdCycle:
-		return fmt.Sprintf("%s %s", in.Op, in.Dst)
-	case Beq, Bne, Blt, Bge:
-		return fmt.Sprintf("%s %s, %s, @%d", in.Op, in.Src1, in.Src2, in.Target)
-	case Jmp:
-		return fmt.Sprintf("%s @%d", in.Op, in.Target)
-	default:
+	if !in.Op.Valid() {
 		return fmt.Sprintf("%s ?", in.Op)
 	}
+	var b strings.Builder
+	b.WriteString(in.Op.String())
+	for i, k := range in.Op.Operands() {
+		if i == 0 {
+			b.WriteByte(' ')
+		} else {
+			b.WriteString(", ")
+		}
+		switch k {
+		case 'd':
+			b.WriteString(in.Dst.String())
+		case 'a':
+			b.WriteString(in.Src1.String())
+		case 'b':
+			b.WriteString(in.Src2.String())
+		case 'i':
+			fmt.Fprintf(&b, "%d", in.Imm)
+		case 'm':
+			fmt.Fprintf(&b, "%d(%s)", in.Imm, in.Src1)
+		case 't':
+			fmt.Fprintf(&b, "@%d", in.Target)
+		}
+	}
+	return b.String()
 }
 
 // Validate reports an error when the instruction is malformed (bad opcode or

@@ -43,6 +43,10 @@ func TestOpValid(t *testing.T) {
 	if got := Op(200).String(); got != "op(200)" {
 		t.Errorf("Op(200).String() = %q", got)
 	}
+	bad := Inst{Op: 200, Src1: R1, Src2: R2}
+	if _, n := bad.Uses(); bad.HasDst() || n != 0 || bad.Class() != ClassNone || Op(200).Operands() != "" {
+		t.Error("Op(200) should have no class and no operands")
+	}
 }
 
 func TestOpClassEveryOpcodeClassified(t *testing.T) {

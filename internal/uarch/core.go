@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"specinterference/internal/cache"
-	"specinterference/internal/emu"
 	"specinterference/internal/isa"
 	"specinterference/internal/mem"
 )
@@ -670,7 +669,7 @@ func (c *Core) issueTo(p int, e *entry, cycle int64) {
 		c.executing = append(c.executing, e)
 		c.euFreeAt[p] = cycle + 1
 	case e.inst.IsCondBranch():
-		taken := emu.BranchTaken(e.inst.Op, e.srcVal[0], e.srcVal[1])
+		taken := isa.BranchTaken(e.inst.Op, e.srcVal[0], e.srcVal[1])
 		if taken {
 			e.actualNext = e.inst.Target
 		} else {
@@ -726,44 +725,13 @@ func (c *Core) removeFromClass(e *entry) {
 	}
 }
 
-// compute evaluates a register-writing non-memory instruction.
+// compute evaluates a register-writing non-memory instruction. RdCycle
+// reads this core's clock; everything else is the ISA's arithmetic.
 func (c *Core) compute(e *entry, cycle int64) int64 {
-	a, b := e.srcVal[0], e.srcVal[1]
-	in := e.inst
-	switch in.Op {
-	case isa.MovI:
-		return in.Imm
-	case isa.Mov:
-		return a
-	case isa.Add:
-		return a + b
-	case isa.AddI:
-		return a + in.Imm
-	case isa.Sub:
-		return a - b
-	case isa.And:
-		return a & b
-	case isa.Or:
-		return a | b
-	case isa.Xor:
-		return a ^ b
-	case isa.ShlI:
-		return a << uint(in.Imm&63)
-	case isa.ShrI:
-		return int64(uint64(a) >> uint(in.Imm&63))
-	case isa.Mul:
-		return a * b
-	case isa.MulI:
-		return a * in.Imm
-	case isa.Div:
-		return emu.SafeDiv(a, b)
-	case isa.Sqrt:
-		return emu.ISqrt(a)
-	case isa.RdCycle:
+	if e.inst.Op == isa.RdCycle {
 		return cycle
-	default:
-		panic(fmt.Sprintf("uarch: compute called for %s", in.Op))
 	}
+	return isa.Eval(e.inst, e.srcVal[0], e.srcVal[1])
 }
 
 // ---------------------------------------------------------------------------
