@@ -1,8 +1,7 @@
 // Benchmarks that regenerate every table and figure of the paper's
-// evaluation, plus ablations of the design choices DESIGN.md calls out.
+// evaluation, plus ablations of the simulator's modelling choices.
 // Shape metrics (separations, error rates, slowdowns) are reported through
-// b.ReportMetric so `go test -bench` output doubles as the experiment log;
-// EXPERIMENTS.md records the paper-versus-measured comparison.
+// b.ReportMetric so `go test -bench` output doubles as the experiment log.
 //
 // Every benchmark here feeds the committed perf trajectory (BENCH_*.json,
 // see internal/bench): seeds are fixed constants — never derived from the
@@ -11,16 +10,21 @@
 // steady-state work, and every benchmark calls b.ReportAllocs so allocs/op
 // is gateable. Shape metrics are computed from a fixed-seed setup run (or
 // from work that is bit-identical every iteration), never from "whichever
-// iteration happened to run last".
+// iteration happened to run last". The artifact benchmarks run the
+// experiment engine on one in-process worker, so their allocs/op do not
+// depend on the CPU count.
 package specinterference
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"specinterference/internal/cache"
-	"specinterference/internal/channel"
 	"specinterference/internal/core"
+	"specinterference/internal/experiment"
 	"specinterference/internal/mem"
+	"specinterference/internal/results"
 	"specinterference/internal/schemes"
 	"specinterference/internal/stats"
 	"specinterference/internal/uarch"
@@ -32,53 +36,60 @@ import (
 // exercise exactly the artifact-generating paths.
 const benchSeed uint64 = 1
 
-// BenchmarkTable1Matrix regenerates the full vulnerability matrix (Table 1)
-// and reports how many cells agree with the paper. The matrix is seedless,
-// so every iteration produces identical cells; the match metrics come from
-// a setup run and are independent of b.N.
-func BenchmarkTable1Matrix(b *testing.B) {
-	names := schemes.Names()
-	expected := core.ExpectedTable1()
-	cells, err := core.VulnerabilityMatrix(names)
+// benchExperiment is the shared body of the artifact benchmarks: it
+// regenerates one experiment through experiment.Run on a single
+// in-process worker and returns the record of a setup run, from which
+// the caller reads its shape metrics.
+func benchExperiment(b *testing.B, name string, p results.Params) *results.Record {
+	b.Helper()
+	spec, err := experiment.Lookup(name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	match, total := 0, 0
-	for _, c := range cells {
-		total++
-		k := c.Gadget.String() + "|" + c.Ordering.String()
-		if expected[k][c.Scheme] == c.Vulnerable {
-			match++
-		}
+	// The pooled per-worker trial state and evaluation machines live in
+	// sync.Pools, whose per-P private slots miss whenever the goroutine
+	// migrates to another P between runs; at GOMAXPROCS > 1 allocs/op
+	// would then follow the scheduler. One P makes them a function of the
+	// code alone.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	backend := experiment.InProcess{Workers: 1}
+	rec, err := experiment.Run(context.Background(), spec, p, backend, nil)
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.VulnerabilityMatrix(names); err != nil {
+		if _, err := experiment.Run(context.Background(), spec, p, backend, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return rec
+}
+
+// BenchmarkTable1Matrix regenerates the full vulnerability matrix (Table 1)
+// and reports how many cells agree with the paper. The matrix is seedless,
+// so every iteration produces identical cells.
+func BenchmarkTable1Matrix(b *testing.B) {
+	rec := benchExperiment(b, results.ExpTable1, results.Params{Schemes: schemes.Names()})
+	expected := core.ExpectedTable1()
+	match := 0
+	for _, c := range rec.Table1.Cells {
+		if expected[c.Gadget+"|"+c.Ordering][c.Scheme] == c.Vulnerable {
+			match++
+		}
+	}
 	b.ReportMetric(float64(match), "cells-matching-paper")
-	b.ReportMetric(float64(total), "cells-total")
+	b.ReportMetric(float64(len(rec.Table1.Cells)), "cells-total")
 }
 
 // BenchmarkFigure7InterferenceHistogram regenerates the contention
 // histogram and reports the separation (paper: ~80 cycles) and overlap at
 // the fixed experiment seed.
 func BenchmarkFigure7InterferenceHistogram(b *testing.B) {
-	r, err := core.Figure7(40, 30, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Figure7(40, 30, benchSeed); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.Separation, "separation-cycles")
-	b.ReportMetric(r.Overlap, "overlap-coeff")
+	rec := benchExperiment(b, results.ExpFigure7, results.Params{Trials: 40, Jitter: 30, Seed: benchSeed})
+	b.ReportMetric(rec.Figure7.Separation, "separation-cycles")
+	b.ReportMetric(rec.Figure7.Overlap, "overlap-coeff")
 }
 
 // pocAccuracy decodes one 0-bit and one 1-bit at fixed seeds and returns
@@ -139,56 +150,38 @@ func BenchmarkFigure10ICachePoCBit(b *testing.B) {
 }
 
 // benchChannel measures one point of the Figure 11 error-versus-rate curve
-// at the fixed experiment seed base.
-func benchChannel(b *testing.B, poc *core.PoC) {
+// (16 bits at one trial per bit) at the fixed experiment seed; the first
+// curve point's seed base is the sweep seed itself.
+func benchChannel(b *testing.B, poc string) {
 	b.Helper()
-	cfg := channel.Config{PoC: poc, Reps: 1, Bits: 16, SeedBase: benchSeed}
-	r, err := channel.Measure(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := channel.Measure(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.ErrorRate, "error-rate")
-	b.ReportMetric(r.Bps, "bps-at-3.6GHz")
+	rec := benchExperiment(b, results.ExpFigure11, results.Params{
+		PoCs: []string{poc}, Bits: 16, Reps: []int{1}, Seed: benchSeed,
+	})
+	pt := rec.Figure11.Curves[0].Points[0]
+	b.ReportMetric(pt.ErrorRate, "error-rate")
+	b.ReportMetric(pt.Bps, "bps-at-3.6GHz")
 }
 
 // BenchmarkFigure11aDCacheChannel measures one point of the D-Cache
 // error-versus-rate curve at the calibrated noise operating point.
 func BenchmarkFigure11aDCacheChannel(b *testing.B) {
-	benchChannel(b, channel.DCacheFigure11())
+	benchChannel(b, "dcache")
 }
 
 // BenchmarkFigure11bICacheChannel is the I-Cache counterpart.
 func BenchmarkFigure11bICacheChannel(b *testing.B) {
-	benchChannel(b, channel.ICacheFigure11())
+	benchChannel(b, "icache")
 }
 
 // BenchmarkFigure12DefenseOverhead regenerates the fence-defense slowdown
 // table (paper: 1.58x Spectre, 5.38x Futuristic on SPEC CPU2017). The
-// sweep is seedless and deterministic, so the slowdown metrics come from a
-// setup run.
+// sweep is seedless and deterministic.
 func BenchmarkFigure12DefenseOverhead(b *testing.B) {
-	cfg := workload.DefaultEvalConfig()
-	cfg.Iters = 500
-	res, err := workload.Evaluate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := workload.Evaluate(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.Mean["fence-spectre"], "spectre-mean-slowdown")
-	b.ReportMetric(res.Mean["fence-futuristic"], "futuristic-mean-slowdown")
+	rec := benchExperiment(b, results.ExpFigure12, results.Params{
+		Iters: 500, Schemes: []string{"fence-spectre", "fence-futuristic"},
+	})
+	b.ReportMetric(rec.Figure12.Mean["fence-spectre"], "spectre-mean-slowdown")
+	b.ReportMetric(rec.Figure12.Mean["fence-futuristic"], "futuristic-mean-slowdown")
 }
 
 // --- Steady-state trial loop (the alloc-free hot path) ----------------------
@@ -251,7 +244,7 @@ func BenchmarkTrialSteadyStatePoCBit(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5) -----------------------------------------------
+// --- Ablations of the simulator's modelling choices ------------------------
 
 // npeuDelay returns the secret-dependent delay on load A for a config
 // tweak: the magnitude of the interference channel.

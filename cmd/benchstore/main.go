@@ -20,8 +20,9 @@
 // the alloc gates carry the precision); b.ReportMetric shape metrics
 // exact always (the suite is fixed-seed deterministic). Any regression,
 // missing trajectory, or exact-gate mismatch exits non-zero — the CI
-// gate. -from FILE checks a saved `go test -bench` output instead of
-// running the suite.
+// gate. -bench RE checks a subset: only the trajectories whose
+// benchmarks RE selects must be present in the run. -from FILE checks a
+// saved `go test -bench` output instead of running the suite.
 //
 // bless appends the current numbers to each trajectory with provenance
 // (date, commit, toolchain, -note) — the reviewed path for intentional
@@ -32,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"regexp"
 	"runtime"
 	"sort"
 	"time"
@@ -79,23 +81,24 @@ func usage() {
 `)
 }
 
-// suiteFlags registers the shared run-or-read flags and returns a loader.
-func suiteFlags(fs *flag.FlagSet) func() ([]bench.Result, error) {
+// suiteFlags registers the shared run-or-read flags and returns a loader
+// and the -bench pattern.
+func suiteFlags(fs *flag.FlagSet) (load func() ([]bench.Result, error), pattern *string) {
 	pkg := fs.String("pkg", ".", "package holding the benchmark suite")
-	pattern := fs.String("bench", ".", "benchmark regexp passed to -bench")
+	pattern = fs.String("bench", ".", "benchmark regexp passed to -bench")
 	from := fs.String("from", "", "parse a saved `go test -bench` output file instead of running the suite")
 	return func() ([]bench.Result, error) {
 		if *from != "" {
 			return bench.ReadFile(*from)
 		}
 		return bench.Run(bench.RunConfig{Pkg: *pkg, Pattern: *pattern})
-	}
+	}, pattern
 }
 
 func runCheck(args []string) error {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
 	dir := fs.String("dir", ".", "trajectory store directory (BENCH_*.json)")
-	load := suiteFlags(fs)
+	load, pattern := suiteFlags(fs)
 	nsBand := fs.Float64("ns-band", 0, "override the ns/op ratio band (0 = default)")
 	verbose := fs.Bool("v", false, "print same/drift comparisons too")
 	fs.Parse(args)
@@ -114,7 +117,14 @@ func runCheck(args []string) error {
 	if *nsBand > 0 {
 		tol.NsBand = *nsBand
 	}
-	rep, err := bench.Check(store, results, tol)
+	// -bench selects trajectories the way go test selects top-level
+	// benchmarks, so a subset run owes only the subset.
+	re, err := regexp.Compile(*pattern)
+	if err != nil {
+		return fmt.Errorf("-bench: %w", err)
+	}
+	selected := func(name string) bool { return re.MatchString("Benchmark" + name) }
+	rep, err := bench.Check(store, results, tol, selected)
 	if err != nil {
 		return err
 	}
@@ -128,7 +138,7 @@ func runCheck(args []string) error {
 func runBless(args []string) error {
 	fs := flag.NewFlagSet("bless", flag.ExitOnError)
 	dir := fs.String("dir", ".", "trajectory store directory (BENCH_*.json)")
-	load := suiteFlags(fs)
+	load, _ := suiteFlags(fs)
 	note := fs.String("note", "", "why this entry is being blessed (required)")
 	fs.Parse(args)
 	if *note == "" {
@@ -157,7 +167,7 @@ func runBless(args []string) error {
 
 func runRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	load := suiteFlags(fs)
+	load, _ := suiteFlags(fs)
 	fs.Parse(args)
 	res, err := load()
 	if err != nil {

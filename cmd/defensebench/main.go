@@ -19,7 +19,6 @@ import (
 	"specinterference/internal/experiment"
 	_ "specinterference/internal/experiment/remote" // registers -backend=remote and the -remote-worker mode
 	"specinterference/internal/results"
-	"specinterference/internal/workload"
 )
 
 // jsonRow is the machine-readable form of one workload's slowdowns.
@@ -47,7 +46,7 @@ func main() {
 		},
 		Text: func(w io.Writer, rec *results.Record) error {
 			fmt.Fprintln(w, "Figure 12: fence-defense slowdown over the unsafe baseline")
-			fmt.Fprint(w, payloadResult(rec).Format(rec.Params.Schemes))
+			fmt.Fprint(w, rec.Figure12.EvalResult().Format(rec.Params.Schemes))
 			fmt.Fprintln(w, "\npaper (SPEC CPU2017 on gem5): 1.58x mean Spectre model, 5.38x mean Futuristic model")
 			return nil
 		},
@@ -67,19 +66,4 @@ func main() {
 			return out, nil
 		},
 	})
-}
-
-// payloadResult rebuilds the typed sweep result from the persisted
-// payload for the Figure 12 table renderer.
-func payloadResult(rec *results.Record) *workload.EvalResult {
-	res := &workload.EvalResult{Mean: rec.Figure12.Mean, Geomean: rec.Figure12.Geomean}
-	for _, row := range rec.Figure12.Rows {
-		res.Rows = append(res.Rows, workload.EvalRow{
-			Workload:       row.Workload,
-			BaselineCycles: row.BaselineCycles,
-			BaselineIPC:    row.BaselineIPC,
-			Slowdown:       row.Slowdown,
-		})
-	}
-	return res
 }

@@ -41,11 +41,13 @@
 //
 // # Experiment engine and backends
 //
-// The four repeated-trial harnesses — Figure7, VulnerabilityMatrix,
-// ChannelCurve and DefenseOverhead — are registered experiment specs in
-// internal/experiment. A spec declares a shard plan, a pure per-shard
-// run function, and a serial-order aggregator producing a sealed run
-// record; the engine executes specs over a Backend:
+// The five artifacts — the Figure 7 histogram, the Table 1 matrix, the
+// Figure 11 channel curves, the Figure 12 defense sweep and the
+// concordance grid — are registered experiment specs in
+// internal/experiment, and RunExperiment is the one way to produce any
+// of them. A spec declares a shard plan, a pure per-shard run function,
+// and a serial-order aggregator producing a sealed run record; the
+// engine executes specs over a Backend:
 //
 //   - the in-process backend shards trials across the bounded worker
 //     pool of internal/runner (-parallel N goroutines, 0 = one per CPU);
@@ -98,20 +100,22 @@
 // Aggregation then replays the serial loop's order, so outputs are
 // bit-identical at any worker count, process count, machine count, or
 // backend; the determinism tests in internal/core, internal/channel and
-// internal/workload pin the serial reference loops as goldens, the
-// backend-equivalence tests in internal/experiment and
+// internal/workload pin the serial reference loops against each spec's
+// shard decomposition, internal/experiment pins the engine to that
+// decomposition at several worker counts, the backend-equivalence tests in internal/experiment and
 // internal/experiment/remote pin all three backends to the committed
 // baseline signatures, and the fault-injection suite in
 // internal/experiment/faulttest proves that crashing, stalling and
 // corrupting workers still leave the remote backend's records
 // byte-identical to the committed baselines.
 //
-// The library entry points keep their *Parallel variants (context plus a
-// worker count), now thin wrappers over the same shared per-shard
-// primitives the engine uses. The four experiment CLIs sit on the
-// engine's shared driver and take common flags: -parallel, -backend,
-// -procs, -listen, -lease, -chunk, -journal, -json, -store, -progress (periodic
-// shard-completion reporting to stderr, off by default) and -scale
+// From the library, pass InProcessBackend(workers), SubprocessBackend or
+// RemoteBackend to RunExperiment and read the result from the record's
+// payload (rec.Table1.Cells, rec.Figure12.EvalResult(), ...). The
+// experiment CLIs sit on the engine's shared driver and take common
+// flags: -parallel, -backend, -procs, -listen, -lease, -chunk, -journal,
+// -json, -store, -progress (periodic shard-completion reporting to
+// stderr, off by default) and -scale
 // (multiply trial-style counts — larger Figure 7 arms, more Figure 11
 // bits — for sweeps that span processes and machines).
 //
@@ -124,9 +128,7 @@
 // curve point, the Figure 12 slowdown table. Records append as JSONL
 // under a store directory (one file per experiment, newest last) via the
 // -store flag on vulnmatrix, covertbench, defensebench and interference,
-// or programmatically through OpenResultStore and the record
-// constructors (NewFigure7Record, NewTable1Record, NewFigure11Record,
-// NewFigure12Record, NewConcordanceRecord).
+// or programmatically through RunExperiment and RecordRun.
 //
 // Each record carries a canonical SHA-256 signature over its parameters
 // and payload; metadata is excluded, so two runs of the same experiment
@@ -152,8 +154,9 @@
 // promotes each experiment's newest store record to the committed
 // baseline in one command, stamping a provenance note (date, reason,
 // commit) for review. Golden-file tests in internal/results additionally
-// pin the canonical encodings byte-for-byte (regenerate both with go
-// test ./internal/results -update).
+// regenerate every experiment through the engine and pin the canonical
+// encodings byte-for-byte (regenerate both with go test
+// ./internal/results -run 'TestGolden|TestBaseline' -update).
 //
 // See README.md for a tour. The root package is a facade over the
 // internal packages; the cmd/ tools and examples/ programs show it in

@@ -184,7 +184,7 @@ func TestCheck(t *testing.T) {
 	rep, err := Check(store, []Result{
 		{Name: "A", Entry: base},
 		{Name: "New", Entry: base},
-	}, tol)
+	}, tol, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +201,30 @@ func TestCheck(t *testing.T) {
 	}
 
 	// Clean run: the matched benchmark alone, identical numbers.
-	rep, err = Check(store, []Result{{Name: "A", Entry: base}}, tol)
+	rep, err = Check(store, []Result{{Name: "A", Entry: base}}, tol, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// "Gone" is still missing from the run.
 	if rep.OK() {
 		t.Fatal("vanished benchmark must fail")
+	}
+
+	// A run that selected only "A" (go test -bench '^BenchmarkA$') does
+	// not owe "Gone"; one whose selection covers "Gone" still does.
+	rep, err = Check(store, []Result{{Name: "A", Entry: base}}, tol, func(name string) bool { return name == "A" })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("unselected trajectory failed the check: %s", rep.Format(true))
+	}
+	rep, err = Check(store, []Result{{Name: "A", Entry: base}}, tol, func(string) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK() {
+		t.Fatal("selected vanished benchmark must fail")
 	}
 }
 
@@ -223,7 +240,7 @@ func TestBlessThenCheck(t *testing.T) {
 	if err := Bless(store, rs, "2026-08-07", "deadbeef", "go1.24.0", "initial"); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Check(store, rs, DefaultTolerance())
+	rep, err := Check(store, rs, DefaultTolerance(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,11 +190,12 @@ type CheckReport struct {
 // OK reports whether the check passed.
 func (r *CheckReport) OK() bool { return len(r.Failures) == 0 }
 
-// Check compares a parsed suite run against every committed trajectory.
-// Both directions gate: a result with no trajectory file means the
-// baseline was never blessed, and a trajectory whose benchmark vanished
-// from the suite means coverage silently regressed.
-func Check(store *Store, results []Result, tol Tolerance) (*CheckReport, error) {
+// Check compares a parsed suite run against every committed trajectory
+// the run selected (selected nil = all of them). Both directions gate: a
+// result with no trajectory file means the baseline was never blessed,
+// and a selected trajectory whose benchmark vanished from the suite means
+// coverage silently regressed.
+func Check(store *Store, results []Result, tol Tolerance, selected func(name string) bool) (*CheckReport, error) {
 	rep := &CheckReport{}
 	seen := map[string]bool{}
 	for _, res := range results {
@@ -219,7 +220,7 @@ func Check(store *Store, results []Result, tol Tolerance) (*CheckReport, error) 
 		return nil, err
 	}
 	for _, name := range names {
-		if !seen[name] {
+		if !seen[name] && (selected == nil || selected(name)) {
 			rep.Deltas = append(rep.Deltas, Delta{Name: name, Field: "-", Class: Missing,
 				Why: "committed trajectory has no benchmark in this run"})
 		}

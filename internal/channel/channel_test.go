@@ -8,10 +8,7 @@ import (
 
 func TestNoiselessChannelIsPerfect(t *testing.T) {
 	poc := core.NewDCachePoC("invisispec-spectre", 0)
-	r, err := Measure(Config{PoC: poc, Reps: 1, Bits: 8, SeedBase: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := measureByShards(t, poc, 1, 8, 5, 0)
 	if r.ErrorRate != 0 {
 		t.Errorf("noiseless channel error = %.2f, want 0", r.ErrorRate)
 	}
@@ -21,17 +18,8 @@ func TestNoiselessChannelIsPerfect(t *testing.T) {
 }
 
 func TestMeasureDeterministic(t *testing.T) {
-	mk := func() Config {
-		return Config{PoC: DCacheFigure11(), Reps: 3, Bits: 6, SeedBase: 11}
-	}
-	a, err := Measure(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Measure(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := measureByShards(t, DCacheFigure11(), 3, 6, 11, 0)
+	b := measureByShards(t, DCacheFigure11(), 3, 6, 11, 0)
 	if a.Errors != b.Errors || a.TotalCycles != b.TotalCycles {
 		t.Error("equal seeds must reproduce the measurement")
 	}
@@ -40,10 +28,7 @@ func TestMeasureDeterministic(t *testing.T) {
 func TestCurveShapeICache(t *testing.T) {
 	// Figure 11(b)'s qualitative shape: more repetitions per bit cost
 	// cycles (lower rate) and reduce error.
-	results, err := Curve(ICacheFigure11(), []int{1, 9}, 16, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := curveByShards(t, ICacheFigure11(), []int{1, 9}, 16, 21, 0)
 	if results[1].CyclesPerBit <= results[0].CyclesPerBit {
 		t.Error("more reps must lower the bit rate")
 	}
@@ -56,29 +41,11 @@ func TestCurveShapeICache(t *testing.T) {
 func TestICacheChannelFasterThanDCache(t *testing.T) {
 	// Figure 11: the I-Cache PoC reaches usable error at several times the
 	// D-Cache PoC's rate (465 vs ~100 bps on the paper's machine).
-	d, err := Measure(Config{PoC: DCacheFigure11(), Reps: 1, Bits: 8, SeedBase: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	i, err := Measure(Config{PoC: ICacheFigure11(), Reps: 1, Bits: 8, SeedBase: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := measureByShards(t, DCacheFigure11(), 1, 8, 31, 0)
+	i := measureByShards(t, ICacheFigure11(), 1, 8, 31, 0)
 	if i.CyclesPerBit >= d.CyclesPerBit {
 		t.Errorf("I-Cache channel (%0.f cyc/bit) should beat D-Cache (%.0f)",
 			i.CyclesPerBit, d.CyclesPerBit)
-	}
-}
-
-func TestMeasureValidation(t *testing.T) {
-	if _, err := Measure(Config{PoC: nil, Reps: 1, Bits: 1}); err == nil {
-		t.Error("nil PoC accepted")
-	}
-	if _, err := Measure(Config{PoC: DCacheFigure11(), Reps: 0, Bits: 1}); err == nil {
-		t.Error("zero reps accepted")
-	}
-	if _, err := Measure(Config{PoC: DCacheFigure11(), Reps: 1, Bits: 0}); err == nil {
-		t.Error("zero bits accepted")
 	}
 }
 

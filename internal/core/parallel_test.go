@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"testing"
+
+	"specinterference/internal/runner"
 )
 
-// serialFigure7Latencies is the pre-runner serial loop of Figure7, kept as
+// serialFigure7Latencies is the pre-runner serial Figure 7 loop, kept as
 // the golden reference for the seed-derivation contract: trial i of arm
 // `secret` always runs with seed seedBase + 2*i + secret.
 func serialFigure7Latencies(t *testing.T, trials, jitter int, seedBase uint64) (baseline, interference []float64) {
@@ -26,16 +28,33 @@ func serialFigure7Latencies(t *testing.T, trials, jitter int, seedBase uint64) (
 	return baseline, interference
 }
 
-// TestFigure7ParallelMatchesSerial asserts the sharded Figure7 is
-// bit-identical to the serial loop at worker counts 1 and 4.
+// figure7ByShards is the Figure 7 experiment spec's decomposition:
+// Figure7Shard over the shard grid on a worker pool, collected in index
+// order, then BuildFigure7Result — the aggregator the spec calls.
+func figure7ByShards(t *testing.T, trials, jitter int, seedBase uint64, workers int) *Figure7Result {
+	t.Helper()
+	n, err := Figure7Shards(trials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lats, err := runner.Map(context.Background(), n, workers, func(_ context.Context, j int) (float64, error) {
+		return Figure7Shard(trials, jitter, seedBase, j)
+	})
+	if err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	return BuildFigure7Result(lats[:trials:trials], lats[trials:])
+}
+
+// TestFigure7ParallelMatchesSerial asserts the sharded Figure 7
+// decomposition is bit-identical to the serial loop at worker counts 1
+// and 4; the experiment package checks the engine against the same
+// decomposition.
 func TestFigure7ParallelMatchesSerial(t *testing.T) {
 	const trials, jitter, seed = 4, 25, 7
 	wantBase, wantInt := serialFigure7Latencies(t, trials, jitter, seed)
 	for _, workers := range []int{1, 4} {
-		res, err := Figure7Parallel(context.Background(), trials, jitter, seed, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		res := figure7ByShards(t, trials, jitter, seed, workers)
 		if len(res.Baseline) != trials || len(res.Interference) != trials {
 			t.Fatalf("workers=%d: got %d/%d latencies, want %d per arm",
 				workers, len(res.Baseline), len(res.Interference), trials)
@@ -49,6 +68,19 @@ func TestFigure7ParallelMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// matrixByShards is the Table 1 experiment spec's decomposition:
+// MatrixShard over the cell grid on a worker pool, in index order.
+func matrixByShards(t *testing.T, names []string, workers int) []MatrixCell {
+	t.Helper()
+	cells, err := runner.Map(context.Background(), MatrixShards(names), workers, func(_ context.Context, j int) (MatrixCell, error) {
+		return MatrixShard(names, j)
+	})
+	if err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	return cells
 }
 
 // TestMatrixParallelMatchesSerial asserts the sharded matrix classifies
@@ -69,10 +101,7 @@ func TestMatrixParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 4} {
-		got, err := VulnerabilityMatrixParallel(context.Background(), names, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		got := matrixByShards(t, names, workers)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d cells, want %d", workers, len(got), len(want))
 		}

@@ -140,10 +140,7 @@ func TestTable1VulnerabilityMatrix(t *testing.T) {
 }
 
 func TestVulnerabilityMatrixDriver(t *testing.T) {
-	cells, err := VulnerabilityMatrix([]string{"unsafe", "dom", "fence-spectre"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := matrixByShards(t, []string{"unsafe", "dom", "fence-spectre"}, 0)
 	if len(cells) != len(Combos())*3 {
 		t.Fatalf("cells = %d", len(cells))
 	}
@@ -174,10 +171,7 @@ func TestFenceDefensesNeverVulnerable(t *testing.T) {
 }
 
 func TestFigure7Separation(t *testing.T) {
-	r, err := Figure7(30, 30, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := figure7ByShards(t, 30, 30, 7, 0)
 	if len(r.Baseline) != 30 || len(r.Interference) != 30 {
 		t.Fatalf("arm sizes %d/%d", len(r.Baseline), len(r.Interference))
 	}
@@ -196,7 +190,7 @@ func TestFigure7Separation(t *testing.T) {
 }
 
 func TestFigure7Validation(t *testing.T) {
-	if _, err := Figure7(0, 0, 1); err == nil {
+	if _, err := Figure7Shards(0); err == nil {
 		t.Error("zero trials accepted")
 	}
 }

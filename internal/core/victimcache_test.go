@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"testing"
-)
+import "testing"
 
 // TestVictimCacheIdenticalTrials proves the batch-trial fast path is
 // invisible: a trial that builds its victim program from scratch (cold
@@ -99,14 +96,8 @@ func TestVictimCacheKeysDistinct(t *testing.T) {
 func TestVictimCacheParallelHarness(t *testing.T) {
 	resetVictimCache()
 	defer resetVictimCache()
-	serial, err := Figure7Parallel(context.Background(), 4, 10, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Figure7Parallel(context.Background(), 4, 10, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := figure7ByShards(t, 4, 10, 1, 1)
+	parallel := figure7ByShards(t, 4, 10, 1, 4)
 	for i := range serial.Baseline {
 		if serial.Baseline[i] != parallel.Baseline[i] ||
 			serial.Interference[i] != parallel.Interference[i] {

@@ -2,10 +2,10 @@ package detect
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	"specinterference/internal/core"
+	"specinterference/internal/runner"
 	"specinterference/internal/schemes"
 )
 
@@ -44,8 +44,13 @@ func TestConcordanceMatrix(t *testing.T) {
 		t.Skip("simulator grid in -short mode")
 	}
 	names := schemes.Names()
-	cells, err := Matrix(context.Background(), names, runtime.GOMAXPROCS(0))
+	cells, err := runner.Map(context.Background(), Shards(names), 0, func(_ context.Context, j int) (Cell, error) {
+		return Shard(names, j)
+	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckCells(cells); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := len(cells), Shards(names); got != want {

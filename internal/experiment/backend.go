@@ -34,7 +34,7 @@ func (InProcess) Name() string { return "inprocess" }
 
 // Run implements Backend.
 func (b InProcess) Run(ctx context.Context, spec *Spec, p results.Params, n int, done func()) ([]any, error) {
-	state, err := spec.prepare(p)
+	state, err := spec.PrepareState(p)
 	if err != nil {
 		return nil, err
 	}
@@ -120,11 +120,4 @@ func NewBackendOptions(name string, o BackendOptions) (Backend, error) {
 		return nil, fmt.Errorf("experiment: unknown backend %q (want one of %v)", name, BackendNames())
 	}
 	return f(o)
-}
-
-// NewBackend constructs a backend from its CLI name with only the procs
-// and workers knobs — the pre-remote signature, kept for callers that
-// don't care about scheduler or network options.
-func NewBackend(name string, procs, workers int) (Backend, error) {
-	return NewBackendOptions(name, BackendOptions{Procs: procs, Workers: workers})
 }

@@ -13,9 +13,9 @@
 // goroutine, a worker pool (InProcess), or a fleet of re-exec'd worker
 // processes (Subprocess). The backend is purely a wall-clock knob.
 //
-// The package also provides the shared CLI driver (Main) the four
-// experiment binaries sit on, and Regenerate, the engine-backed
-// replacement for rerunning an experiment at recorded parameters.
+// Run is the only code path that turns params into a record; the shared
+// CLI driver (Main) the experiment binaries sit on, resultstore and the
+// public facade all go through it.
 package experiment
 
 import (
@@ -119,17 +119,6 @@ func Run(ctx context.Context, spec *Spec, p results.Params, b Backend, done func
 	return spec.Aggregate(p, shards)
 }
 
-// Regenerate reruns one experiment by name at the given parameters — the
-// engine-backed path behind `resultstore check/baseline` and the facade's
-// RegenerateRecord.
-func Regenerate(ctx context.Context, name string, p results.Params, b Backend) (*results.Record, error) {
-	spec, err := Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return Run(ctx, spec, p, b, nil)
-}
-
 // PrepareState runs the spec's Prepare hook, tolerating its absence —
 // the worker-side entry every backend transport uses before serving
 // shard ranges.
@@ -139,6 +128,3 @@ func (s *Spec) PrepareState(p results.Params) (any, error) {
 	}
 	return s.Prepare(p)
 }
-
-// prepare is the internal alias for PrepareState.
-func (s *Spec) prepare(p results.Params) (any, error) { return s.PrepareState(p) }

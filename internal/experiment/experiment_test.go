@@ -170,15 +170,16 @@ func TestShardErrorSubprocess(t *testing.T) {
 	}
 }
 
-// TestNewBackend covers name resolution.
+// TestNewBackend covers NewBackendOptions' name resolution, the unknown
+// name included.
 func TestNewBackend(t *testing.T) {
 	for name, want := range map[string]string{"": "inprocess", "inprocess": "inprocess", "subprocess": "subprocess"} {
-		b, err := NewBackend(name, 0, 0)
+		b, err := NewBackendOptions(name, BackendOptions{})
 		if err != nil || b.Name() != want {
-			t.Errorf("NewBackend(%q) = %v, %v", name, b, err)
+			t.Errorf("NewBackendOptions(%q) = %v, %v", name, b, err)
 		}
 	}
-	if _, err := NewBackend("carrier-pigeon", 0, 0); err == nil {
+	if _, err := NewBackendOptions("carrier-pigeon", BackendOptions{}); err == nil {
 		t.Error("unknown backend accepted")
 	}
 }
@@ -193,7 +194,7 @@ func TestShardJSONRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := smallParams(t, exp)
-		state, err := spec.prepare(p)
+		state, err := spec.PrepareState(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,6 +216,66 @@ func TestShardJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestInProcessWorkerInvariance checks every paper spec's engine run
+// against its decomposition — Run on every shard in index order, then
+// Aggregate — at in-process worker counts 1 and 4. The serial reference
+// loops in internal/core, internal/channel and internal/workload are
+// checked against the same decomposition, so the engine reproduces them
+// at any worker count.
+func TestInProcessWorkerInvariance(t *testing.T) {
+	for _, exp := range results.Experiments() {
+		spec, err := Lookup(exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := smallParams(t, exp)
+		want := decompose(t, spec, p)
+		for _, workers := range []int{1, 4} {
+			got, err := Run(context.Background(), spec, p, InProcess{Workers: workers}, nil)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", exp, workers, err)
+			}
+			gotJSON, err := got.CanonicalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(gotJSON) != string(want) {
+				t.Errorf("%s workers=%d: engine record diverged from the shard decomposition:\n  engine %s\n  shards %s",
+					exp, workers, gotJSON, want)
+			}
+		}
+	}
+}
+
+// decompose runs a spec without a backend: PrepareState, Run on shards
+// [0, Plan) in index order, Aggregate. It returns the canonical record.
+func decompose(t *testing.T, spec *Spec, p results.Params) []byte {
+	t.Helper()
+	n, err := spec.Plan(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := spec.PrepareState(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := make([]any, n)
+	for i := range shards {
+		if shards[i], err = spec.Run(context.Background(), state, p, i); err != nil {
+			t.Fatalf("%s shard %d: %v", spec.Name, i, err)
+		}
+	}
+	rec, err := spec.Aggregate(p, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical, err := rec.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return canonical
+}
+
 // smallParams returns tiny but valid params for an experiment.
 func smallParams(t *testing.T, exp string) results.Params {
 	t.Helper()
@@ -227,6 +288,8 @@ func smallParams(t *testing.T, exp string) results.Params {
 		return results.Params{PoCs: []string{"dcache"}, Bits: 2, Reps: []int{1}, Seed: 1}
 	case "figure12":
 		return results.Params{Iters: 30, Schemes: []string{"fence-spectre"}}
+	case "concordance":
+		return results.Params{Schemes: []string{"unsafe", "dom"}}
 	default:
 		t.Fatalf("unknown experiment %q", exp)
 		return results.Params{}

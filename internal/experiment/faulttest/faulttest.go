@@ -131,6 +131,18 @@ func (s *Shim) PostRaw(body []byte) (int, remote.ResultAck, error) {
 	return resp.StatusCode, ack, nil
 }
 
+// PostTo posts arbitrary bytes to one of the coordinator's endpoints
+// ("/lease", "/renew", ...) and returns the HTTP status.
+func (s *Shim) PostTo(path string, body []byte) (int, error) {
+	resp, err := s.client().Post(s.Base+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode, nil
+}
+
 // PostLine posts one well-formed result line under a lease.
 func (s *Shim) PostLine(leaseID string, sl experiment.ShardLine) (int, remote.ResultAck, error) {
 	raw, err := json.Marshal(remote.ResultLine{Run: s.Run, Lease: leaseID, ShardLine: sl})

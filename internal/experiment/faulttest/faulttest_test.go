@@ -1,11 +1,13 @@
 package faulttest
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -307,6 +309,30 @@ func TestFaultInjection(t *testing.T) {
 			},
 		},
 		{
+			// Lease and renew bodies are a few dozen bytes; the
+			// coordinator refuses megabyte ones with 413 instead of
+			// buffering them, and no lease is granted.
+			name: "oversized-control-bodies", chunk: 4,
+			fault: func(t *testing.T, h *harness) {
+				pad := strings.Repeat("a", 1<<20)
+				for path, body := range map[string]string{
+					"/lease": `{"worker":"` + pad + `","run":"` + h.shim.Run + `"}`,
+					"/renew": `{"id":"` + pad + `","run":"` + h.shim.Run + `"}`,
+				} {
+					status, err := h.shim.PostTo(path, []byte(body))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if status != http.StatusRequestEntityTooLarge {
+						t.Errorf("%d-byte %s body: status %d, want 413", len(body), path, status)
+					}
+				}
+				if st, err := h.shim.Stats(); err != nil || st.Leases != 0 {
+					t.Errorf("stats after refused bodies = %+v, %v; want no lease granted", st, err)
+				}
+			},
+		},
+		{
 			// Payloads that don't decode as the spec's shard type are
 			// corrupt: rejected, and the shard is served again later.
 			name: "corrupted-payloads", chunk: 4,
@@ -335,6 +361,80 @@ func TestFaultInjection(t *testing.T) {
 			tc.fault(t, h)
 			h.drainAndVerify(t)
 		})
+	}
+}
+
+// TestSlowlorisHeaderTimeout drives the coordinator server that
+// remote.Remote.Run starts: a client that opens a connection and sends
+// only part of a request header must be disconnected within the
+// server's ReadHeaderTimeout, and a healthy worker then still drives the
+// run to the committed baseline signature.
+func TestSlowlorisHeaderTimeout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("holds a connection open for the coordinator's header timeout")
+	}
+	spec, err := experiment.Lookup(results.ExpFigure7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, err := results.BaselineParams(results.ExpFigure7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	// Procs 0: the coordinator waits for external workers and prints its
+	// URL on stderr.
+	stderr, stderrW := io.Pipe()
+	defer stderr.Close()
+	type outcome struct {
+		rec *results.Record
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		rec, err := experiment.Run(ctx, spec, params, remote.Remote{Stderr: stderrW}, nil)
+		stderrW.Close()
+		done <- outcome{rec, err}
+	}()
+	lines := bufio.NewScanner(stderr)
+	var url string
+	for url == "" && lines.Scan() {
+		if m := regexp.MustCompile(`coordinator on (http://\S+)`).FindStringSubmatch(lines.Text()); m != nil {
+			url = m[1]
+		}
+	}
+	if url == "" {
+		t.Fatalf("coordinator never printed its URL: %v", lines.Err())
+	}
+	go io.Copy(io.Discard, stderr)
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /lease HTTP/1.1\r\nHost: coordinator\r\nContent-Type: app"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(remote.ReadHeaderTimeout + 5*time.Second))
+	_, err = io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection with a partial header still open after %v", time.Since(start).Round(time.Millisecond))
+	}
+	t.Logf("partial-header connection closed after %v (%v)", time.Since(start).Round(time.Millisecond), err)
+
+	if err := remote.RunWorker(ctx, url, 0, io.Discard); err != nil {
+		t.Fatalf("healthy worker: %v", err)
+	}
+	o := <-done
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	if committed := committedBaselineHash(t, results.ExpFigure7); o.rec.Hash != committed {
+		t.Errorf("record signature %.12s != committed baseline %.12s", o.rec.Hash, committed)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -21,6 +22,12 @@ import (
 // scheduling noise, short enough that a crashed worker's chunk is back
 // in the queue quickly.
 const DefaultLease = 10 * time.Second
+
+// maxControlBody bounds the JSON body of a /lease or /renew request. A
+// real one carries a worker name, a run token and a lease id — well under
+// a kilobyte — so anything larger is refused with 413 before it is
+// buffered.
+const maxControlBody = 64 << 10
 
 // Config tunes a Coordinator.
 type Config struct {
@@ -679,14 +686,26 @@ func (c *Coordinator) pollInterval() time.Duration {
 	return p
 }
 
+// decodeControl decodes a /lease or /renew body of at most
+// maxControlBody bytes into v, returning the status to refuse it with:
+// 413 when the body is over the limit, 400 when it is not valid JSON.
+func decodeControl(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxControlBody)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
+}
+
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad lease request: "+err.Error(), http.StatusBadRequest)
+	if status, err := decodeControl(w, r, &req); err != nil {
+		http.Error(w, "bad lease request: "+err.Error(), status)
 		return
 	}
 	c.mu.Lock()
@@ -761,8 +780,8 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RenewRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad renew request: "+err.Error(), http.StatusBadRequest)
+	if status, err := decodeControl(w, r, &req); err != nil {
+		http.Error(w, "bad renew request: "+err.Error(), status)
 		return
 	}
 	c.mu.Lock()

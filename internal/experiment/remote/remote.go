@@ -71,6 +71,13 @@ func init() {
 	experiment.RegisterWorkerMode(RunWorkerIfRequested)
 }
 
+// ReadHeaderTimeout bounds how long the coordinator's HTTP server waits
+// for a request's headers, so a client that opens a connection and
+// trickles a partial header (slowloris) cannot hold it open. Workers send
+// their headers in one write; idle keep-alive connections between
+// requests are not affected.
+const ReadHeaderTimeout = 5 * time.Second
+
 // Run implements experiment.Backend.
 func (b Remote) Run(ctx context.Context, spec *experiment.Spec, p results.Params, n int, done func()) ([]any, error) {
 	if ctx == nil {
@@ -107,7 +114,7 @@ func (b Remote) Run(ctx context.Context, spec *experiment.Spec, p results.Params
 	if err != nil {
 		return nil, fmt.Errorf("remote: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: coord.Handler()}
+	srv := &http.Server{Handler: coord.Handler(), ReadHeaderTimeout: ReadHeaderTimeout}
 	go srv.Serve(ln)
 	defer srv.Close()
 

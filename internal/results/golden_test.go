@@ -1,4 +1,7 @@
-package results
+// The golden and baseline tests regenerate every experiment through the
+// experiment engine, which imports this package; they live in the
+// external test package so they can import it back without a cycle.
+package results_test
 
 import (
 	"bytes"
@@ -8,6 +11,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"specinterference/internal/experiment"
+	"specinterference/internal/results"
 )
 
 // update regenerates the golden files and the committed regression
@@ -16,19 +22,34 @@ import (
 //	go test ./internal/results -run 'TestGolden|TestBaseline' -update
 var update = flag.Bool("update", false, "rewrite golden files and the committed baseline")
 
-// goldenPath returns testdata/<experiment>.golden.json.
-func goldenPath(experiment string) string {
-	return filepath.Join("testdata", experiment+".golden.json")
+// goldenPath returns testdata/<exp>.golden.json.
+func goldenPath(exp string) string {
+	return filepath.Join("testdata", exp+".golden.json")
 }
 
 // baselineDir is the committed baseline store the CI `resultstore check`
 // step gates against.
 const baselineDir = "testdata/baseline"
 
+// regenerate reruns one experiment at the given parameters through
+// experiment.Run on the default in-process backend.
+func regenerate(t *testing.T, exp string, p results.Params) *results.Record {
+	t.Helper()
+	spec, err := experiment.Lookup(exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := experiment.Run(context.Background(), spec, p, nil, nil)
+	if err != nil {
+		t.Fatalf("regenerate %s: %v", exp, err)
+	}
+	return rec
+}
+
 // goldenBytes renders a record the way the golden files store it: the
 // canonical (signature-covered) view, pretty-printed for reviewable
 // diffs, trailing newline included.
-func goldenBytes(t *testing.T, rec *Record) []byte {
+func goldenBytes(t *testing.T, rec *results.Record) []byte {
 	t.Helper()
 	canonical, err := rec.CanonicalJSON()
 	if err != nil {
@@ -45,17 +66,14 @@ func goldenBytes(t *testing.T, rec *Record) []byte {
 // testGolden regenerates one experiment at the committed baseline
 // parameters and asserts its canonical encoding is byte-identical to the
 // golden file (or rewrites the golden under -update).
-func testGolden(t *testing.T, experiment string) {
-	params, err := BaselineParams(experiment)
+func testGolden(t *testing.T, exp string) {
+	params, err := results.BaselineParams(exp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Regenerate(context.Background(), experiment, params, 0)
-	if err != nil {
-		t.Fatalf("Regenerate(%s): %v", experiment, err)
-	}
+	rec := regenerate(t, exp, params)
 	got := goldenBytes(t, rec)
-	path := goldenPath(experiment)
+	path := goldenPath(exp)
 
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -75,16 +93,16 @@ func testGolden(t *testing.T, experiment string) {
 		t.Errorf("%s output diverged from its golden file.\n"+
 			"If the change is intentional, regenerate with:\n"+
 			"  go test ./internal/results -run TestGolden -update\ngot:\n%swant:\n%s",
-			experiment, got, want)
+			exp, got, want)
 	}
 }
 
-func TestGoldenFigure7(t *testing.T)  { testGolden(t, ExpFigure7) }
-func TestGoldenTable1(t *testing.T)   { testGolden(t, ExpTable1) }
-func TestGoldenFigure11(t *testing.T) { testGolden(t, ExpFigure11) }
-func TestGoldenFigure12(t *testing.T) { testGolden(t, ExpFigure12) }
+func TestGoldenFigure7(t *testing.T)  { testGolden(t, results.ExpFigure7) }
+func TestGoldenTable1(t *testing.T)   { testGolden(t, results.ExpTable1) }
+func TestGoldenFigure11(t *testing.T) { testGolden(t, results.ExpFigure11) }
+func TestGoldenFigure12(t *testing.T) { testGolden(t, results.ExpFigure12) }
 
-func TestGoldenConcordance(t *testing.T) { testGolden(t, ExpConcordance) }
+func TestGoldenConcordance(t *testing.T) { testGolden(t, results.ExpConcordance) }
 
 // TestBaselineCurrent mirrors the CI `resultstore check` gate in-process:
 // every committed baseline record must diff as identical against a fresh
@@ -93,29 +111,26 @@ func TestGoldenConcordance(t *testing.T) { testGolden(t, ExpConcordance) }
 // committed files stay deterministic).
 func TestBaselineCurrent(t *testing.T) {
 	if *update {
-		store, err := Open(baselineDir)
+		store, err := results.Open(baselineDir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, exp := range Experiments() {
-			params, err := BaselineParams(exp)
+		for _, exp := range results.Experiments() {
+			params, err := results.BaselineParams(exp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec, err := Regenerate(context.Background(), exp, params, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec.Meta = Meta{Note: "baseline"}
+			rec := regenerate(t, exp, params)
+			rec.Meta = results.Meta{Note: "baseline"}
 			if err := store.Replace(rec); err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("rewrote %s (%.12s)", store.path(exp), rec.Hash)
+			t.Logf("rewrote %s baseline (%.12s)", exp, rec.Hash)
 		}
 		return
 	}
 
-	store, err := Open(baselineDir)
+	store, err := results.Open(baselineDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,19 +138,16 @@ func TestBaselineCurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(exps) != len(Experiments()) {
-		t.Fatalf("baseline holds %v, want all of %v (regenerate with -update)", exps, Experiments())
+	if len(exps) != len(results.Experiments()) {
+		t.Fatalf("baseline holds %v, want all of %v (regenerate with -update)", exps, results.Experiments())
 	}
 	for _, exp := range exps {
 		ref, err := store.Latest(exp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := Regenerate(context.Background(), exp, ref.Params, 0)
-		if err != nil {
-			t.Fatalf("Regenerate(%s): %v", exp, err)
-		}
-		if d := Diff(ref, fresh); d.Class != Identical {
+		fresh := regenerate(t, exp, ref.Params)
+		if d := results.Diff(ref, fresh); d.Class != results.Identical {
 			t.Errorf("%s diverged from the committed baseline (class %s):\n%s"+
 				"If intentional, regenerate with:\n"+
 				"  go test ./internal/results -run TestBaseline -update",

@@ -27,6 +27,7 @@ import (
 	"specinterference/internal/channel"
 	"specinterference/internal/core"
 	"specinterference/internal/detect"
+	"specinterference/internal/schemes"
 	"specinterference/internal/workload"
 )
 
@@ -52,6 +53,27 @@ const (
 // Experiments lists every experiment name in canonical order.
 func Experiments() []string {
 	return []string{ExpFigure7, ExpTable1, ExpFigure11, ExpFigure12, ExpConcordance}
+}
+
+// BaselineParams returns the small-trial parameter set the committed
+// regression baselines use: large enough that every qualitative result
+// (matrix cells, arm separation, decodable channels) shows, small enough
+// that a full regeneration is a CI-friendly couple of seconds.
+func BaselineParams(experiment string) (Params, error) {
+	switch experiment {
+	case ExpFigure7:
+		return Params{Trials: 8, Jitter: 10, Seed: 1}, nil
+	case ExpTable1:
+		return Params{Schemes: schemes.Names()}, nil
+	case ExpFigure11:
+		return Params{PoCs: []string{"dcache", "icache"}, Bits: 4, Reps: []int{1, 3}, Seed: 1}, nil
+	case ExpFigure12:
+		return Params{Iters: 120, Schemes: []string{"fence-spectre", "fence-futuristic"}}, nil
+	case ExpConcordance:
+		return Params{Schemes: schemes.Names()}, nil
+	default:
+		return Params{}, fmt.Errorf("results: unknown experiment %q", experiment)
+	}
 }
 
 // Params are the experiment parameters that define comparability: two
@@ -161,6 +183,21 @@ type Figure12Payload struct {
 	Rows    []Figure12Row      `json:"rows"`
 	Mean    map[string]float64 `json:"mean"`
 	Geomean map[string]float64 `json:"geomean"`
+}
+
+// EvalResult rebuilds the typed sweep result from the persisted payload,
+// for the Figure 12 table renderer (workload.EvalResult.Format).
+func (p *Figure12Payload) EvalResult() *workload.EvalResult {
+	res := &workload.EvalResult{Mean: p.Mean, Geomean: p.Geomean}
+	for _, row := range p.Rows {
+		res.Rows = append(res.Rows, workload.EvalRow{
+			Workload:       row.Workload,
+			BaselineCycles: row.BaselineCycles,
+			BaselineIPC:    row.BaselineIPC,
+			Slowdown:       row.Slowdown,
+		})
+	}
+	return res
 }
 
 // ConcordanceCell is one static-versus-empirical comparison entry.

@@ -1,29 +1,28 @@
 package results
 
 import (
-	"context"
 	"path/filepath"
 	"testing"
 	"time"
 )
 
-// smallTable1Params is a two-scheme matrix: enough to exercise every
-// gadget/ordering combination while keeping unit tests fast.
-func smallTable1Params() Params {
-	return Params{Schemes: []string{"unsafe", "fence-spectre"}}
-}
-
-func mustRegen(t *testing.T, exp string, p Params, workers int) *Record {
+// baselineRecord loads a fresh copy of the committed baseline record of
+// an experiment: real engine output, without simulating anything here.
+func baselineRecord(t *testing.T, exp string) *Record {
 	t.Helper()
-	rec, err := Regenerate(context.Background(), exp, p, workers)
+	store, err := Open(filepath.Join("testdata", "baseline"))
 	if err != nil {
-		t.Fatalf("Regenerate(%s): %v", exp, err)
+		t.Fatal(err)
+	}
+	rec, err := store.Latest(exp)
+	if err != nil {
+		t.Fatalf("committed baseline: %v", err)
 	}
 	return rec
 }
 
 func TestRecordValidate(t *testing.T) {
-	rec := mustRegen(t, ExpTable1, smallTable1Params(), 0)
+	rec := baselineRecord(t, ExpTable1)
 	if err := rec.Validate(); err != nil {
 		t.Fatalf("fresh record invalid: %v", err)
 	}
@@ -55,12 +54,12 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := mustRegen(t, ExpTable1, smallTable1Params(), 0)
+	rec := baselineRecord(t, ExpTable1)
 	rec.Stamp(2, 5*time.Millisecond)
 	if err := s.Append(rec); err != nil {
 		t.Fatal(err)
 	}
-	second := mustRegen(t, ExpTable1, smallTable1Params(), 0)
+	second := baselineRecord(t, ExpTable1)
 	second.Meta.Note = "second"
 	if err := s.Append(second); err != nil {
 		t.Fatal(err)
@@ -132,34 +131,31 @@ func TestParseRef(t *testing.T) {
 	}
 }
 
-// TestDiffWorkerCountIdentical is the store's core guarantee: the same
-// experiment at the same parameters is bit-identical at any worker count,
-// so records produced serially and in parallel diff as identical.
+// TestDiffWorkerCountIdentical is the store's core guarantee: records
+// of the same experiment at the same parameters that differ only in
+// their volatile metadata — worker count, wall time — diff as identical.
+// (That the engine produces the same payload at any worker count is
+// checked in internal/experiment.)
 func TestDiffWorkerCountIdentical(t *testing.T) {
-	serial := mustRegen(t, ExpTable1, smallTable1Params(), 1)
-	serial.Stamp(1, time.Second)
-	parallel := mustRegen(t, ExpTable1, smallTable1Params(), 4)
-	parallel.Stamp(4, time.Millisecond)
+	for _, exp := range []string{ExpTable1, ExpFigure7} {
+		serial := baselineRecord(t, exp)
+		serial.Stamp(1, time.Second)
+		parallel := baselineRecord(t, exp)
+		parallel.Stamp(4, time.Millisecond)
 
-	if serial.Hash != parallel.Hash {
-		t.Fatalf("hashes differ across worker counts: %.12s vs %.12s", serial.Hash, parallel.Hash)
-	}
-	d := Diff(serial, parallel)
-	if d.Class != Identical || len(d.Findings) != 0 {
-		t.Fatalf("diff across worker counts = %s %v, want identical", d.Class, d.Findings)
-	}
-
-	f7a := mustRegen(t, ExpFigure7, Params{Trials: 4, Jitter: 10, Seed: 1}, 1)
-	f7b := mustRegen(t, ExpFigure7, Params{Trials: 4, Jitter: 10, Seed: 1}, 3)
-	if d := Diff(f7a, f7b); d.Class != Identical {
-		t.Fatalf("figure7 diff across worker counts = %s %v, want identical", d.Class, d.Findings)
+		if serial.Hash != parallel.Hash {
+			t.Fatalf("%s: hashes differ across worker counts: %.12s vs %.12s", exp, serial.Hash, parallel.Hash)
+		}
+		if d := Diff(serial, parallel); d.Class != Identical || len(d.Findings) != 0 {
+			t.Fatalf("%s: diff across worker counts = %s %v, want identical", exp, d.Class, d.Findings)
+		}
 	}
 }
 
 // TestDiffMatrixFlipRegression: flipping one (gadget, scheme) cell
 // vulnerable↔protected must classify as a regression.
 func TestDiffMatrixFlipRegression(t *testing.T) {
-	old := mustRegen(t, ExpTable1, smallTable1Params(), 0)
+	old := baselineRecord(t, ExpTable1)
 
 	flipped := *old
 	cells := append([]Table1Cell(nil), old.Table1.Cells...)
@@ -179,13 +175,17 @@ func TestDiffMatrixFlipRegression(t *testing.T) {
 }
 
 func TestDiffIncomparable(t *testing.T) {
-	table := mustRegen(t, ExpTable1, smallTable1Params(), 0)
-	figure := mustRegen(t, ExpFigure7, Params{Trials: 4, Jitter: 10, Seed: 1}, 0)
+	table := baselineRecord(t, ExpTable1)
+	figure := baselineRecord(t, ExpFigure7)
 	if d := Diff(table, figure); d.Class != Incomparable {
 		t.Fatalf("cross-experiment diff = %s, want incomparable", d.Class)
 	}
 
-	otherSeed := mustRegen(t, ExpFigure7, Params{Trials: 4, Jitter: 10, Seed: 2}, 0)
+	otherSeed := baselineRecord(t, ExpFigure7)
+	otherSeed.Params.Seed++
+	if _, err := otherSeed.seal(); err != nil {
+		t.Fatal(err)
+	}
 	if d := Diff(figure, otherSeed); d.Class != Incomparable {
 		t.Fatalf("cross-parameter diff = %s, want incomparable", d.Class)
 	}

@@ -1,14 +1,12 @@
 package workload
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
 	"sync"
 
 	"specinterference/internal/mem"
-	"specinterference/internal/runner"
 	"specinterference/internal/schemes"
 	"specinterference/internal/uarch"
 )
@@ -25,10 +23,6 @@ type EvalConfig struct {
 	// Cores for the machine (Figure 12's system is multi-core; one is
 	// enough since the kernels are single-threaded).
 	Cores int
-	// Workers bounds cell concurrency — one shard per workload×scheme run,
-	// baseline included (0 = one per CPU). Every run builds its own system
-	// and the sweep is seedless, so results match the serial loop exactly.
-	Workers int
 }
 
 // DefaultEvalConfig returns the Figure 12 setup.
@@ -72,8 +66,8 @@ type Cell struct {
 	IPC float64 `json:"ipc"`
 }
 
-// Normalize fills EvalConfig defaults (schemes, cores) the way Evaluate
-// does, so shard planning, execution and aggregation all see one config.
+// Normalize fills EvalConfig defaults (iters, cycle bound, schemes,
+// cores), so shard planning, execution and aggregation all see one config.
 func (cfg EvalConfig) Normalize() EvalConfig {
 	if cfg.Iters <= 0 {
 		cfg.Iters = DefaultEvalConfig().Iters
@@ -208,31 +202,6 @@ func runOnce(w Workload, policyName string, cfg EvalConfig) (int64, float64, err
 	}
 	st := sys.Core(0).Stats()
 	return st.Cycles, st.IPC(), nil
-}
-
-// Evaluate runs every kernel under the unsafe baseline and each scheme,
-// producing the Figure 12 table. The workload×scheme cells (baseline
-// included) shard across cfg.Workers goroutines; aggregation happens
-// afterwards in the serial loop's order, so sums and geomeans are
-// bit-identical at any worker count.
-func Evaluate(cfg EvalConfig) (*EvalResult, error) {
-	return EvaluateContext(context.Background(), cfg)
-}
-
-// EvaluateContext is Evaluate with cancellation.
-func EvaluateContext(ctx context.Context, cfg EvalConfig) (*EvalResult, error) {
-	if cfg.Iters <= 0 {
-		return nil, fmt.Errorf("workload: iters must be positive")
-	}
-	cfg = cfg.Normalize()
-	cells, err := runner.Map(ctx, EvalShards(cfg), cfg.Workers,
-		func(_ context.Context, j int) (Cell, error) {
-			return EvalShard(cfg, j)
-		})
-	if err != nil {
-		return nil, err
-	}
-	return AggregateCells(cfg, cells), nil
 }
 
 // Format renders the result as a Figure 12 style table.

@@ -5,9 +5,11 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"specinterference/internal/runner"
 )
 
-// serialEvaluate is the pre-runner serial loop of Evaluate, kept as the
+// serialEvaluate is the pre-runner serial Figure 12 loop, kept as the
 // golden reference: baseline then schemes per workload, accumulating the
 // mean/geomean sums in that order (float addition order matters for
 // bit-identity).
@@ -50,6 +52,21 @@ func serialEvaluate(t *testing.T, cfg EvalConfig) *EvalResult {
 	return res
 }
 
+// evaluateByShards is the Figure 12 experiment spec's decomposition:
+// EvalShard over the cell grid on a worker pool, collected in index
+// order, then AggregateCells — the aggregator the spec calls.
+func evaluateByShards(t *testing.T, cfg EvalConfig, workers int) *EvalResult {
+	t.Helper()
+	cfg = cfg.Normalize()
+	cells, err := runner.Map(context.Background(), EvalShards(cfg), workers, func(_ context.Context, j int) (Cell, error) {
+		return EvalShard(cfg, j)
+	})
+	if err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	return AggregateCells(cfg, cells)
+}
+
 // TestEvaluateParallelMatchesSerial asserts the sharded Figure 12 sweep is
 // bit-identical (rows, means and geomeans) to the serial loop at worker
 // counts 1 and 4.
@@ -57,13 +74,8 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	cfg := EvalConfig{Iters: 50, MaxCycles: 5_000_000, Schemes: []string{"fence-spectre"}, Cores: 1}
 	want := serialEvaluate(t, cfg)
 	for _, workers := range []int{1, 4} {
-		cfg.Workers = workers
-		got, err := EvaluateContext(context.Background(), cfg)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: Evaluate = %+v, serial = %+v", workers, got, want)
+		if got := evaluateByShards(t, cfg, workers); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: shards = %+v, serial = %+v", workers, got, want)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"specinterference/internal/asm"
 	"specinterference/internal/cache"
-	"specinterference/internal/channel"
 	"specinterference/internal/core"
 	"specinterference/internal/detect"
 	"specinterference/internal/emu"
@@ -62,18 +61,10 @@ type (
 	PoC = core.PoC
 	// BitOutcome is one PoC trial's decoded bit.
 	BitOutcome = core.BitOutcome
-	// MatrixCell is one Table 1 entry.
-	MatrixCell = core.MatrixCell
-	// ChannelResult is one Figure 11 curve point.
-	ChannelResult = channel.Result
 	// SecurityReport is a §5.1 checker outcome.
 	SecurityReport = security.Report
 	// Workload is a synthetic SPEC-like kernel.
 	Workload = workload.Workload
-	// EvalResult is a Figure 12 defense-overhead table.
-	EvalResult = workload.EvalResult
-	// Figure7Result is the interference-contention histogram data.
-	Figure7Result = core.Figure7Result
 	// VictimParams tunes gadget/target chain lengths.
 	VictimParams = core.VictimParams
 )
@@ -147,76 +138,8 @@ func NewDCachePoC(scheme string, jitter int) *PoC { return core.NewDCachePoC(sch
 // receiver).
 func NewICachePoC(scheme string, jitter int) *PoC { return core.NewICachePoC(scheme, jitter) }
 
-// VulnerabilityMatrix classifies schemes against every gadget/ordering
-// combination — Table 1.
-func VulnerabilityMatrix(schemeNames []string) ([]MatrixCell, error) {
-	return core.VulnerabilityMatrix(schemeNames)
-}
-
-// VulnerabilityMatrixParallel is VulnerabilityMatrix with cancellation and
-// an explicit worker count (0 = one per CPU); one shard per
-// scheme×gadget×ordering cell, results identical at any worker count.
-func VulnerabilityMatrixParallel(ctx context.Context, schemeNames []string, workers int) ([]MatrixCell, error) {
-	return core.VulnerabilityMatrixParallel(ctx, schemeNames, workers)
-}
-
-// FormatMatrix renders matrix cells as a Table 1-style text table.
-func FormatMatrix(cells []MatrixCell) string { return core.FormatMatrix(cells) }
-
 // ExpectedTable1 returns the paper's Table 1 for comparison.
 func ExpectedTable1() map[string]map[string]bool { return core.ExpectedTable1() }
-
-// Figure7 measures the §4.2.1 interference-contention histogram.
-func Figure7(trials, jitter int, seed uint64) (*Figure7Result, error) {
-	return core.Figure7(trials, jitter, seed)
-}
-
-// Figure7Parallel is Figure7 with cancellation and an explicit worker
-// count (0 = one per CPU); per-trial seeds depend only on the trial index,
-// so results are bit-identical at any worker count.
-func Figure7Parallel(ctx context.Context, trials, jitter int, seed uint64, workers int) (*Figure7Result, error) {
-	return core.Figure7Parallel(ctx, trials, jitter, seed, workers)
-}
-
-// ChannelCurve measures a Figure 11 error-versus-rate curve for a PoC.
-func ChannelCurve(poc *PoC, repsList []int, bits int, seed uint64) ([]ChannelResult, error) {
-	return channel.Curve(poc, repsList, bits, seed)
-}
-
-// ChannelCurveParallel is ChannelCurve with cancellation and an explicit
-// worker count (0 = one per CPU) fanning out the per-bit trials inside
-// each curve point.
-func ChannelCurveParallel(ctx context.Context, poc *PoC, repsList []int, bits int, seed uint64, workers int) ([]ChannelResult, error) {
-	return channel.CurveParallel(ctx, poc, repsList, bits, seed, workers)
-}
-
-// DCacheFigure11 and ICacheFigure11 return the PoCs at their calibrated
-// Figure 11 noise operating points.
-func DCacheFigure11() *PoC { return channel.DCacheFigure11() }
-
-// ICacheFigure11 returns the Figure 11(b) PoC.
-func ICacheFigure11() *PoC { return channel.ICacheFigure11() }
-
-// DefenseOverhead runs the Figure 12 sweep: every synthetic kernel under
-// the unsafe baseline and the named defenses.
-func DefenseOverhead(iters int, schemeNames []string) (*EvalResult, error) {
-	return DefenseOverheadParallel(context.Background(), iters, schemeNames, 0)
-}
-
-// DefenseOverheadParallel is DefenseOverhead with cancellation and an
-// explicit worker count (0 = one per CPU); one shard per workload×scheme
-// cell, baseline runs included.
-func DefenseOverheadParallel(ctx context.Context, iters int, schemeNames []string, workers int) (*EvalResult, error) {
-	cfg := workload.DefaultEvalConfig()
-	if iters > 0 {
-		cfg.Iters = iters
-	}
-	if len(schemeNames) > 0 {
-		cfg.Schemes = schemeNames
-	}
-	cfg.Workers = workers
-	return workload.EvaluateContext(ctx, cfg)
-}
 
 // Static leak-detector types (see internal/detect): a SPECTECTOR-style
 // abstract analysis that decides leak/no-leak per Table 1 cell without
@@ -229,9 +152,6 @@ type (
 	LeakReport = detect.Report
 	// LeakEnv is the initial abstract state for one secret value.
 	LeakEnv = detect.Env
-	// ConcordanceCell pairs the static verdict with the empirical
-	// simulator classification for one Table 1 cell.
-	ConcordanceCell = detect.Cell
 )
 
 // AnalyzeLeak self-composes a program under a policy across two secret
@@ -247,18 +167,6 @@ func AnalyzeLeak(p *Program, policy SpecPolicy, envs [2]LeakEnv) (*LeakReport, e
 // program and priming state the empirical harness uses.
 func DetectLeak(schemeName string, g Gadget, ord Ordering) (LeakVerdict, error) {
 	return detect.CellVerdict(schemeName, g, ord)
-}
-
-// ConcordanceMatrix runs the full static-versus-empirical agreement grid
-// (workers 0 = one per CPU) and fails on any unexplained mismatch.
-func ConcordanceMatrix(ctx context.Context, schemeNames []string, workers int) ([]ConcordanceCell, error) {
-	return detect.Matrix(ctx, schemeNames, workers)
-}
-
-// NewConcordanceRecord wraps a detector agreement grid as a sealed run
-// record, refusing unexplained mismatches.
-func NewConcordanceRecord(cells []ConcordanceCell, schemeNames []string) (*RunRecord, error) {
-	return results.NewConcordanceRecord(cells, schemeNames)
 }
 
 // CheckIdealInvisibleSpeculation verifies the §5.1 definition for a
@@ -298,8 +206,6 @@ type (
 	RunDiffReport = results.DiffReport
 	// RunDiffClass classifies a record comparison.
 	RunDiffClass = results.DiffClass
-	// ChannelCurveInput names one measured curve for NewFigure11Record.
-	ChannelCurveInput = results.CurveInput
 )
 
 // Diff classifications, in increasing severity.
@@ -328,26 +234,6 @@ func OpenResultStore(dir string) (*ResultStore, error) { return results.Open(dir
 // shares.
 func RecordRun(dir string, rec *RunRecord, workers int, wall time.Duration) error {
 	return results.RecordRun(dir, rec, workers, wall)
-}
-
-// NewFigure7Record wraps a Figure 7 measurement as a sealed run record.
-func NewFigure7Record(res *Figure7Result, trials, jitter int, seed uint64) (*RunRecord, error) {
-	return results.NewFigure7Record(res, trials, jitter, seed)
-}
-
-// NewTable1Record wraps a vulnerability-matrix run as a sealed run record.
-func NewTable1Record(cells []MatrixCell, schemeNames []string) (*RunRecord, error) {
-	return results.NewTable1Record(cells, schemeNames)
-}
-
-// NewFigure11Record wraps measured channel curves as a sealed run record.
-func NewFigure11Record(curves []ChannelCurveInput, bits int, reps []int, seed uint64) (*RunRecord, error) {
-	return results.NewFigure11Record(curves, bits, reps, seed)
-}
-
-// NewFigure12Record wraps a defense-overhead sweep as a sealed run record.
-func NewFigure12Record(res *EvalResult, iters int, schemeNames []string) (*RunRecord, error) {
-	return results.NewFigure12Record(res, iters, schemeNames)
 }
 
 // DiffRunRecords classifies the change from old to new: identical,
@@ -406,12 +292,6 @@ func RemoteBackend(listen string, procs, workers int) ExperimentBackend {
 	return remote.Remote{Listen: listen, Procs: procs, Workers: workers}
 }
 
-// NewExperimentBackend constructs a backend from its CLI name,
-// "inprocess", "subprocess" or "remote".
-func NewExperimentBackend(name string, procs, workers int) (ExperimentBackend, error) {
-	return experiment.NewBackend(name, procs, workers)
-}
-
 // NewExperimentBackendOptions constructs a backend from its CLI name and
 // the full option set — the constructor behind every -backend flag.
 func NewExperimentBackendOptions(name string, o ExperimentBackendOptions) (ExperimentBackend, error) {
@@ -437,15 +317,15 @@ func LookupExperiment(name string) (*ExperimentSpec, error) { return experiment.
 
 // RunExperiment plans, executes and aggregates one experiment on a
 // backend (nil = in-process, one worker per CPU), returning the sealed
-// record.
+// record — the one way to produce any of the paper's artifacts (Figure 7,
+// Table 1, Figure 11, Figure 12, concordance). The record's payload
+// carries the result: rec.Table1.Cells, rec.Figure12.EvalResult(), ...
 func RunExperiment(ctx context.Context, name string, p RunParams, b ExperimentBackend) (*RunRecord, error) {
-	return experiment.Regenerate(ctx, name, p, b)
-}
-
-// RegenerateRecord reruns one experiment at the given parameters through
-// the experiment engine's in-process backend.
-func RegenerateRecord(ctx context.Context, experiment string, p RunParams, workers int) (*RunRecord, error) {
-	return RunExperiment(ctx, experiment, p, InProcessBackend(workers))
+	spec, err := experiment.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return experiment.Run(ctx, spec, p, b, nil)
 }
 
 // BaselineRunParams returns the committed regression baseline's
