@@ -115,7 +115,7 @@ func backendFlags(fs *flag.FlagSet) func() (b si.ExperimentBackend, workers, pro
 	procsFlag := fs.Int("procs", 0, "worker processes: subprocess workers (0 = one per CPU) or local remote workers (0 = wait for external -remote-worker processes)")
 	listen := fs.String("listen", "", "remote backend: coordinator listen address (default 127.0.0.1:0)")
 	lease := fs.Duration("lease", 0, "remote backend: shard-lease TTL before unfinished work is re-issued (0 = 10s)")
-	chunk := fs.Int("chunk", 0, "shards per lease/dispatch chunk for the remote and subprocess schedulers (0 = automatic: subprocess uses about four chunks per worker; remote adapts to observed shard cost)")
+	chunk := fs.Int("chunk", 0, "shards per lease/dispatch chunk for the remote and subprocess schedulers (0 = automatic: subprocess uses about four chunks per worker; remote grants ceil(U/16) of the U shards still queued)")
 	journal := fs.String("journal", "", "remote backend: shard-result journal directory for resumable coordinator restarts (accepted results append to <dir>/<experiment>.jsonl; a restarted run replays it and serves only the remainder)")
 	return func() (si.ExperimentBackend, int, int, error) {
 		b, err := si.NewExperimentBackendOptions(*backend, si.ExperimentBackendOptions{

@@ -61,7 +61,7 @@ func Main(cfg CLIConfig) {
 	procs := fs.Int("procs", 0, "worker processes: subprocess workers (0 = one per CPU) or local remote workers spawned next to the coordinator (0 = none, wait for external -remote-worker processes)")
 	listen := fs.String("listen", "", "remote backend: coordinator listen address (default 127.0.0.1:0, a loopback ephemeral port)")
 	lease := fs.Duration("lease", 0, "remote backend: shard-lease time-to-live before unfinished work is re-issued (0 = 10s)")
-	chunk := fs.Int("chunk", 0, "shards per lease/dispatch chunk for the remote and subprocess schedulers (0 = automatic: subprocess uses about four chunks per worker; remote adapts to observed shard cost)")
+	chunk := fs.Int("chunk", 0, "shards per lease/dispatch chunk for the remote and subprocess schedulers (0 = automatic: subprocess uses about four chunks per worker; remote grants ceil(U/16) of the U shards still queued)")
 	journal := fs.String("journal", "", "remote backend: shard-result journal directory for resumable coordinator restarts (accepted results append to <dir>/<experiment>.jsonl; a restarted run replays it and serves only the remainder)")
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON instead of the text rendering")
 	storeDir := fs.String("store", "", "append a run record to this results-store directory")

@@ -86,7 +86,7 @@ func (s *Shim) Lease(worker string) (remote.Lease, error) {
 }
 
 // Stats fetches the coordinator's GET /stats snapshot — run progress,
-// the speculative-backup counters and per-worker throughput estimates.
+// the lease and queue shape, and the grants issued.
 func (s *Shim) Stats() (remote.Stats, error) {
 	resp, err := s.client().Get(s.Base + "/stats")
 	if err != nil {

@@ -45,14 +45,6 @@ const faultLease = 400 * time.Millisecond
 
 func newHarness(t *testing.T, chunk int) *harness {
 	t.Helper()
-	return newHarnessLease(t, chunk, faultLease)
-}
-
-// newHarnessLease is newHarness with an explicit lease TTL — the backup
-// scenarios need a TTL far longer than the test so that speculative
-// execution, not lease expiry, is what rescues a stalled span.
-func newHarnessLease(t *testing.T, chunk int, lease time.Duration) *harness {
-	t.Helper()
 	spec, err := experiment.Lookup(results.ExpFigure7)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +61,7 @@ func newHarnessLease(t *testing.T, chunk int, lease time.Duration) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := remote.NewCoordinator(spec, params, n, remote.Config{Chunk: chunk, Lease: lease})
+	coord, err := remote.NewCoordinator(spec, params, n, remote.Config{Chunk: chunk, Lease: faultLease})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,6 +325,21 @@ func TestFaultInjection(t *testing.T) {
 			},
 		},
 		{
+			// A /results body is capped at 64 MiB, the same constant that
+			// caps one line: a body one byte over it is refused with 413
+			// after the cap, and nothing in it is accepted.
+			name: "oversized-results-body", chunk: 4,
+			fault: func(t *testing.T, h *harness) {
+				status, ack, err := h.shim.PostRaw(bytes.Repeat([]byte("\n"), 64<<20+1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if status != http.StatusRequestEntityTooLarge || ack.Accepted != 0 {
+					t.Errorf("64 MiB + 1 byte /results body: status %d ack %+v, want 413 with nothing accepted", status, ack)
+				}
+			},
+		},
+		{
 			// Payloads that don't decode as the spec's shard type are
 			// corrupt: rejected, and the shard is served again later.
 			name: "corrupted-payloads", chunk: 4,
@@ -436,152 +443,6 @@ func TestSlowlorisHeaderTimeout(t *testing.T) {
 	if committed := committedBaselineHash(t, results.ExpFigure7); o.rec.Hash != committed {
 		t.Errorf("record signature %.12s != committed baseline %.12s", o.rec.Hash, committed)
 	}
-}
-
-// mustPost streams the honest result line for one shard under a lease
-// and requires an accept — shared plumbing for the backup scenarios,
-// where primaries and backups race each other with correct bytes.
-func (h *harness) mustPost(t *testing.T, s *Shim, leaseID string, shard int) {
-	t.Helper()
-	sl, err := s.CorrectLine(h.spec, h.state, h.params, shard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	status, ack, err := s.PostLine(leaseID, sl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != http.StatusOK || ack.Accepted != 1 {
-		t.Fatalf("post shard %d under %s: status %d ack %+v, want accept", shard, leaseID, status, ack)
-	}
-}
-
-// TestBackupExecution drives speculative backup leases over the real
-// wire protocol. The lease TTL is 30s — far beyond the test — so in
-// every scenario it is backup execution, never expiry-driven re-leasing,
-// that determines the outcome; and in every scenario the byte-equality
-// dedup keeps the final record pinned to the committed baseline.
-func TestBackupExecution(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full figure7 baseline sweeps")
-	}
-	const backupLease = 30 * time.Second
-
-	// A stalled primary holding every shard is overtaken: the healthy
-	// worker's first poll finds the queue empty and gets a backup copy of
-	// the stalled span, and the run finishes with the primary's TTL
-	// nowhere near expiry.
-	t.Run("stalled-primary-overtaken", func(t *testing.T) {
-		h := newHarnessLease(t, 1<<20, backupLease)
-		stalled, err := h.shim.StallPastLease()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stalled.Start != 0 || stalled.End != h.n {
-			t.Fatalf("stalled lease [%d,%d), want [0,%d)", stalled.Start, stalled.End, h.n)
-		}
-		h.drainAndVerify(t)
-		st, err := h.shim.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.BackupsIssued != 1 || st.BackupsWon != h.n || st.BackupsWasted != 0 {
-			t.Errorf("backup counters issued/won/wasted = %d/%d/%d, want 1/%d/0",
-				st.BackupsIssued, st.BackupsWon, st.BackupsWasted, h.n)
-		}
-	})
-
-	// Primary and backup both land copies of the same shards: whichever
-	// copy is second is acknowledged idempotently — wasted work, never an
-	// error — and the record is still the baseline.
-	t.Run("both-copies-land", func(t *testing.T) {
-		h := newHarnessLease(t, 1<<20, backupLease)
-		prim, err := h.shim.Lease("primary")
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.mustPost(t, h.shim, prim.ID, 0)
-		spec := &Shim{Base: h.url}
-		if _, err := spec.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		bk, err := spec.Lease("speculator")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bk.Backup || bk.Start != 1 || bk.End != h.n {
-			t.Fatalf("speculator lease = %+v, want a backup of [1,%d)", bk, h.n)
-		}
-		// The backup lands shard 1 first; the primary's late copy is
-		// acknowledged idempotently and not held against the backup.
-		h.mustPost(t, spec, bk.ID, 1)
-		h.mustPost(t, h.shim, prim.ID, 1)
-		// The primary lands shard 2 first; the backup's late copy is
-		// wasted speculation.
-		h.mustPost(t, h.shim, prim.ID, 2)
-		h.mustPost(t, spec, bk.ID, 2)
-		// The primary now stalls for good; the backup drains the rest.
-		for shard := 3; shard < h.n; shard++ {
-			h.mustPost(t, spec, bk.ID, shard)
-		}
-		st, err := spec.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := h.n - 2; st.BackupsIssued != 1 || st.BackupsWon != want || st.BackupsWasted != 1 {
-			t.Errorf("backup counters issued/won/wasted = %d/%d/%d, want 1/%d/1",
-				st.BackupsIssued, st.BackupsWon, st.BackupsWasted, want)
-		}
-		h.drainAndVerify(t)
-	})
-
-	// A backup is held to the same determinism contract as everyone
-	// else: a forged divergent copy of a shard the primary already
-	// landed is the 409 tripwire and fails the run.
-	t.Run("forged-backup-divergence", func(t *testing.T) {
-		h := newHarnessLease(t, 1<<20, backupLease)
-		prim, err := h.shim.Lease("primary")
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The primary lands shard 1 — mid-span, so with shard 0 still
-		// undone the backup's span [0,n) covers it and a forged copy is
-		// an in-span duplicate, not an out-of-span 400.
-		h.mustPost(t, h.shim, prim.ID, 1)
-		forger := &Shim{Base: h.url}
-		if _, err := forger.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		bk, err := forger.Lease("forger")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bk.Backup || bk.Start != 0 || bk.End != h.n {
-			t.Fatalf("forger lease = %+v, want a backup of [0,%d)", bk, h.n)
-		}
-		status, _, err := forger.PostLine(bk.ID, experiment.ShardLine{Shard: 1, Value: json.RawMessage("271828182845")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if status != http.StatusConflict {
-			t.Errorf("forged backup duplicate: status %d, want %d", status, http.StatusConflict)
-		}
-		select {
-		case <-h.coord.Finished():
-		case <-time.After(5 * time.Second):
-			t.Fatal("determinism violation did not stop the run")
-		}
-		if _, err := h.coord.Values(); err == nil || !strings.Contains(err.Error(), "determinism") {
-			t.Errorf("Values() = %v, want determinism-contract failure", err)
-		}
-		next, err := h.shim.Lease("bystander")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !next.Done {
-			t.Errorf("post-violation lease = %+v, want done", next)
-		}
-	})
 }
 
 // TestDeterminismViolationFailsRun is the one fault that must NOT heal:
@@ -778,7 +639,7 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	}{
 		{results.ExpFigure7, 1, 1},
 		{results.ExpFigure7, 2, 2},
-		{results.ExpTable1, 2, 0}, // adaptive chunking
+		{results.ExpTable1, 2, 0}, // guided chunking
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -29,14 +29,22 @@ const DefaultLease = 10 * time.Second
 // buffered.
 const maxControlBody = 64 << 10
 
+// maxResultBody bounds one /results request: both its whole body and
+// each line in it. A line is one shard result, far below the cap; a
+// body past it is refused with 413, and the lines read before the cap
+// stay accepted.
+const maxResultBody = 64 << 20
+
+// guidedDivisor sets the unpinned grant size: ceil(U/guidedDivisor)
+// shards, U being the shards still queued. See grantSize.
+const guidedDivisor = 16
+
 // Config tunes a Coordinator.
 type Config struct {
-	// Chunk pins the shards-per-lease granularity. 0 means adaptive:
-	// grants start at n/32 (clamped to at least 1) and then track the
-	// observed per-shard completion cost, aiming for one chunk per
-	// quarter lease TTL within [1, n/8] — so cheap shards coalesce into
-	// bigger grants and expensive ones (AD-ordering cells calibrate
-	// twice) stop mispricing a fixed split. Chunking only ever moves
+	// Chunk pins the shards-per-lease granularity. 0 means guided: each
+	// grant is ceil(U/16) of the U shards still queued, so grants start
+	// large and shrink to one shard as the queue drains, and a
+	// straggler's last chunk is small. Chunking only ever moves
 	// scheduling, never values.
 	Chunk int
 	// Lease is the lease TTL (0 = DefaultLease).
@@ -59,42 +67,14 @@ type Config struct {
 // leaseState is one outstanding grant.
 type leaseState struct {
 	id      string
-	seq     int // numeric id, for deterministic oldest-grant tie-breaks
+	seq     int // numeric id, for a deterministic requeue order
 	worker  string
 	span    experiment.Span
-	granted time.Time // grant time; backup issue picks the oldest grant
-	expires time.Time // hard re-issue cliff: last renewal + TTL
-	// lastBeat is the last sign of life under this lease (grant, renew
-	// or accepted result); the adaptive re-issue deadline hangs off it.
-	lastBeat time.Time
-	// lastRenew anchors the renew-cadence estimate (initially the grant
-	// time). Kept separate from lastBeat: result arrivals are beats but
-	// not renewals, and folding them in would collapse the cadence to
-	// the inter-result interval and sweep healthy workers mid-chunk.
-	lastRenew time.Time
-	// lastProgress is the previous accepted result's arrival, for the
-	// per-shard cost estimate. Anchored at the lease's first accepted
-	// result — not the grant — so a worker that fetched a grant and then
-	// idled (wait/poll loop, job fetch) doesn't fold the wait into the
-	// cost EWMA and collapse the adaptive chunk size.
-	lastProgress time.Time
+	expires time.Time // re-issue deadline: last renewal + TTL
 	// started is set once a result arrived under this lease; an
 	// unstarted grant is returned verbatim to a re-polling worker, so a
 	// lease response lost in transit never orphans a chunk for a TTL.
 	started bool
-	// backup marks a speculative backup lease (a second copy of another
-	// grant's undone remainder, issued to an idle worker when the
-	// pending queue drained). The flag persists through promotion, for
-	// the backups-won/wasted counters.
-	backup bool
-	// backupID, on a primary lease, names its live backup lease ("" =
-	// none); at most one backup exists per span at a time. primaryID, on
-	// a backup lease, names the primary it shadows. When either side of
-	// the pair is dropped, the survivor covers the span alone: its
-	// linkage is cleared and the dropped lease's remainder is NOT
-	// requeued, so the pending queue never holds a third copy.
-	backupID  string
-	primaryID string
 }
 
 // Coordinator owns one experiment run's shard state machine: a queue of
@@ -106,9 +86,7 @@ type Coordinator struct {
 	params results.Params
 	n      int
 	run    string // per-run random token every request must echo
-	chunk  int    // pinned grant size, or the adaptive starting size
-	fixed  bool   // Config.Chunk pinned the grant size
-	maxCh  int    // adaptive grant-size ceiling
+	chunk  int    // Config.Chunk: the pinned grant size when > 0, else guided
 	lease  time.Duration
 	onDone func()
 	now    func() time.Time
@@ -117,34 +95,22 @@ type Coordinator struct {
 	// comments are load-bearing — speclint's lockdiscipline analyzer
 	// enforces that annotated fields are only touched under the mutex or
 	// in functions marked //speclint:holds mu.
-	mu       sync.Mutex
-	pending  []experiment.Span          // unleased spans, FIFO; guarded by mu
-	leases   map[string]*leaseState     // outstanding grants; guarded by mu
-	issued   map[string]experiment.Span // guarded by mu
-	byWorker map[string]string          // worker name -> its latest lease id; guarded by mu
-	cadence  map[string]time.Duration   // worker name -> EWMA renew interval; guarded by mu
-	// throughput is each worker's accepted-shards-per-second EWMA; grant
-	// sizes scale with it, so fast machines get proportionally larger
-	// adaptive chunks. byWorker, cadence and throughput entries are
-	// pruned when the worker's last lease is swept, keeping a long-lived
-	// coordinator's maps bounded by the live worker set.
-	throughput map[string]float64 // guarded by mu
-	costEWMA   time.Duration      // observed per-shard completion cost; guarded by mu
-	nextID     int                // guarded by mu
-	// Backup-execution counters, for the end-of-run summary and /stats:
-	// leases issued speculatively, shards whose first accepted result
-	// arrived under a backup lease, and byte-equal duplicates a backup
-	// streamed after the shard was already done.
-	backupsIssued int      // guarded by mu
-	backupsWon    int      // guarded by mu
-	backupsWasted int      // guarded by mu
-	done          []bool   // per-shard completion; guarded by mu
-	values        []any    // decoded shard values, by index; guarded by mu
-	raw           [][]byte // accepted result bytes, for the byte-equality assertion; guarded by mu
-	remaining     int      // guarded by mu
-	replayed      int      // shards restored from the journal at startup; guarded by mu
-	journal       *journal // guarded by mu
-	fatal         error    // guarded by mu
+	mu      sync.Mutex
+	pending []experiment.Span          // unleased spans, FIFO; guarded by mu
+	leases  map[string]*leaseState     // outstanding grants; guarded by mu
+	issued  map[string]experiment.Span // guarded by mu
+	// byWorker maps a worker name to its latest lease id, for idempotent
+	// re-polls and abandoned-grant release. An entry goes with its
+	// lease, keeping the map bounded by the live worker set.
+	byWorker  map[string]string // guarded by mu
+	nextID    int               // grants issued so far; guarded by mu
+	done      []bool            // per-shard completion; guarded by mu
+	values    []any             // decoded shard values, by index; guarded by mu
+	raw       [][]byte          // accepted result bytes, for the byte-equality assertion; guarded by mu
+	remaining int               // guarded by mu
+	replayed  int               // shards restored from the journal at startup; guarded by mu
+	journal   *journal          // guarded by mu
+	fatal     error             // guarded by mu
 	// finished is closed exactly once (under mu) and waited on without
 	// it; channel close/receive has its own happens-before edge, so the
 	// field is deliberately not annotated.
@@ -175,18 +141,6 @@ func newRunToken() string {
 //
 //speclint:holds mu
 func NewCoordinator(spec *experiment.Spec, p results.Params, n int, cfg Config) (*Coordinator, error) {
-	chunk := cfg.Chunk
-	fixed := chunk > 0
-	if !fixed {
-		chunk = n / 32
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
-	maxCh := n / 8
-	if maxCh < chunk {
-		maxCh = chunk
-	}
 	lease := cfg.Lease
 	if lease <= 0 {
 		lease = DefaultLease
@@ -198,18 +152,16 @@ func NewCoordinator(spec *experiment.Spec, p results.Params, n int, cfg Config) 
 	c := &Coordinator{
 		spec: spec, params: p, n: n,
 		run:   newRunToken(),
-		chunk: chunk, fixed: fixed, maxCh: maxCh, lease: lease,
+		chunk: cfg.Chunk, lease: lease,
 		onDone: cfg.OnShardDone, now: now,
-		leases:     map[string]*leaseState{},
-		issued:     map[string]experiment.Span{},
-		byWorker:   map[string]string{},
-		cadence:    map[string]time.Duration{},
-		throughput: map[string]float64{},
-		done:       make([]bool, n),
-		values:     make([]any, n),
-		raw:        make([][]byte, n),
-		remaining:  n,
-		finished:   make(chan struct{}),
+		leases:    map[string]*leaseState{},
+		issued:    map[string]experiment.Span{},
+		byWorker:  map[string]string{},
+		done:      make([]bool, n),
+		values:    make([]any, n),
+		raw:       make([][]byte, n),
+		remaining: n,
+		finished:  make(chan struct{}),
 	}
 	if cfg.Journal != "" {
 		j, replayed, err := openJournal(cfg.Journal, spec, p, n, c.run, c.replayEntry)
@@ -312,102 +264,40 @@ func (c *Coordinator) fail(err error) {
 	close(c.finished)
 }
 
-// sweepExpired reclaims every lease past its re-issue deadline: the
+// sweepExpired reclaims every lease whose TTL ran out unrenewed: the
 // contiguous runs of not-yet-done shards inside its span go back in the
 // queue for other workers — this is the crash tolerance and the work
-// stealing in one move. An expired worker's byWorker, cadence and
-// throughput entries go with it, so a long-lived coordinator's maps stay
-// bounded by the live worker set. Expired leases are dropped in grant
-// order, not map-iteration order: the drop order decides where each
-// lease's undone remainder lands in the pending queue, and serving
-// requeued spans oldest-grant-first keeps the schedule reproducible
-// run to run (speclint's nondeterminism analyzer flags the unsorted
-// map-range form). Callers hold mu.
+// stealing in one move. Expired leases are dropped in grant order, not
+// map-iteration order: the drop order decides where each lease's undone
+// remainder lands in the pending queue, and serving requeued spans
+// oldest-grant-first keeps the schedule reproducible run to run
+// (speclint's nondeterminism analyzer flags the unsorted map-range
+// form). Callers hold mu.
 //
 //speclint:holds mu
-func (c *Coordinator) sweepExpired() {
-	now := c.now()
+func (c *Coordinator) sweepExpired(now time.Time) {
 	var expired []*leaseState
 	for _, l := range c.leases {
-		if !now.Before(c.reissueDeadline(l)) {
+		if !now.Before(l.expires) {
 			expired = append(expired, l)
 		}
 	}
 	sort.Slice(expired, func(i, j int) bool { return expired[i].seq < expired[j].seq })
 	for _, l := range expired {
-		c.dropLease(l, true)
+		c.dropLease(l)
 	}
 }
 
-// dropLease removes one lease and requeues its undone remainder — unless
-// the lease's live backup (or, for a backup, its live primary) still
-// covers the span, in which case the survivor is unlinked and owns the
-// span alone: a backup's span bounds every shard of its primary that was
-// undone at issue time, so whichever copy survives covers everything
-// still outstanding, and requeueing would put a third copy of the work
-// in play. When both sides of a pair expire in one sweep, the first one
-// dropped sees its counterpart still live and skips the requeue; the
-// second has been unlinked and requeues — exactly once either way.
-// pruneWorker additionally clears the worker's cadence and throughput
-// estimates (the sweep path: the worker is presumed gone); the
-// abandoned-grant release path keeps them, since that worker is alive
-// and about to be granted more work. Callers hold mu.
+// dropLease removes one lease, requeues its undone remainder and clears
+// the worker's byWorker entry when it names this lease. Callers hold mu.
 //
 //speclint:holds mu
-func (c *Coordinator) dropLease(l *leaseState, pruneWorker bool) {
+func (c *Coordinator) dropLease(l *leaseState) {
 	delete(c.leases, l.id)
-	covered := false
-	if l.backupID != "" {
-		if b := c.leases[l.backupID]; b != nil {
-			b.primaryID = ""
-			covered = true
-		}
-		l.backupID = ""
-	}
-	if l.primaryID != "" {
-		if p := c.leases[l.primaryID]; p != nil {
-			p.backupID = ""
-			covered = true
-		}
-		l.primaryID = ""
-	}
-	if !covered {
-		c.requeueUndone(l.span)
-	}
+	c.requeueUndone(l.span)
 	if l.worker != "" && c.byWorker[l.worker] == l.id {
 		delete(c.byWorker, l.worker)
-		if pruneWorker {
-			delete(c.cadence, l.worker)
-			delete(c.throughput, l.worker)
-		}
 	}
-}
-
-// reissueDeadline is when an unrenewed lease's work goes back in the
-// queue: the hard TTL cliff, tightened for a worker whose observed
-// renew cadence says it should have checked in well before it — a fast
-// heartbeat that stops is a crash signal worth acting on early. The
-// adaptive deadline is three missed beats past the last sign of life,
-// bounded to [TTL/2, TTL] (the floor keeps a worker renewing at the
-// standard TTL/3 tick safe through several slow beats), and only ever
-// moves re-issue timing, never result acceptance. Callers hold mu.
-//
-//speclint:holds mu
-func (c *Coordinator) reissueDeadline(l *leaseState) time.Time {
-	deadline := l.expires
-	if cad, ok := c.cadence[l.worker]; ok && l.worker != "" {
-		grace := 3 * cad
-		if min := c.lease / 2; grace < min {
-			grace = min
-		}
-		if grace > c.lease {
-			grace = c.lease
-		}
-		if d := l.lastBeat.Add(grace); d.Before(deadline) {
-			deadline = d
-		}
-	}
-	return deadline
 }
 
 // requeueUndone pushes the contiguous not-done sub-spans of sp back onto
@@ -430,119 +320,27 @@ func (c *Coordinator) requeueUndone(sp experiment.Span) {
 	}
 }
 
-// targetChunk is the shards-per-grant size: the configured size when
-// pinned, otherwise adapted so one chunk costs about a quarter of the
-// lease TTL at the observed per-shard completion cost. Callers hold mu.
-//
-//speclint:holds mu
-func (c *Coordinator) targetChunk() int {
-	if c.fixed || c.costEWMA <= 0 {
-		return c.chunk
+// grantSize is the shards-per-grant rule: the pinned chunk when one is
+// set, otherwise guided self-scheduling — ceil(queued/16) of the shards
+// still in the pending queue. Grants shrink as the queue drains, so the
+// last chunks are one shard each and a straggler holding one costs the
+// run little, with no estimate of shard cost or worker speed.
+func grantSize(chunk, queued int) int {
+	if chunk > 0 {
+		return chunk
 	}
-	k := int((c.lease / 4) / c.costEWMA)
-	if k < 1 {
-		k = 1
-	}
-	if k > c.maxCh {
-		k = c.maxCh
-	}
-	return k
+	return (queued + guidedDivisor - 1) / guidedDivisor
 }
 
-// targetChunkFor is the grant size for one worker: the global adaptive
-// target scaled by the worker's observed throughput relative to the
-// fleet mean, within [1/4, 4]x and the usual [1, n/8] clamp — a machine
-// completing shards four times faster than average gets grants up to
-// four times larger, and a slow one stops being handed TTL-sized chunks
-// it can't finish. Pinned -chunk, unknown workers and single-worker
-// fleets (no peer to compare against) all fall back to the global
-// target. Scheduling only, never values. Callers hold mu.
+// queued counts the shards in the pending queue. Callers hold mu.
 //
 //speclint:holds mu
-func (c *Coordinator) targetChunkFor(worker string) int {
-	k := c.targetChunk()
-	if c.fixed || worker == "" || len(c.throughput) < 2 {
-		return k
+func (c *Coordinator) queued() int {
+	u := 0
+	for _, sp := range c.pending {
+		u += sp.End - sp.Start
 	}
-	tp, ok := c.throughput[worker]
-	if !ok || tp <= 0 {
-		return k
-	}
-	var sum float64
-	for _, t := range c.throughput {
-		sum += t
-	}
-	mean := sum / float64(len(c.throughput))
-	if mean <= 0 {
-		return k
-	}
-	f := tp / mean
-	if f < 0.25 {
-		f = 0.25
-	}
-	if f > 4 {
-		f = 4
-	}
-	k = int(float64(k) * f)
-	if k < 1 {
-		k = 1
-	}
-	if k > c.maxCh {
-		k = c.maxCh
-	}
-	return k
-}
-
-// observeProgress folds one accepted shard completion into the adaptive
-// scheduling estimates: the global per-shard cost EWMA and the worker's
-// throughput EWMA. Callers pass only result-to-result intervals — the
-// lease's first accepted result merely anchors lastProgress (see
-// leaseState) — and a result from an already-expired lease carries no
-// usable timing. Callers hold mu.
-//
-//speclint:holds mu
-func (c *Coordinator) observeProgress(l *leaseState, now time.Time) {
-	if l == nil {
-		return
-	}
-	dt := now.Sub(l.lastProgress)
-	l.lastProgress = now
-	if dt < time.Microsecond {
-		dt = time.Microsecond // instantaneous arrivals still mean "cheap"
-	}
-	if c.costEWMA <= 0 {
-		c.costEWMA = dt
-	} else {
-		c.costEWMA = (3*c.costEWMA + dt) / 4
-	}
-	if l.worker != "" {
-		rate := float64(time.Second) / float64(dt)
-		if old, ok := c.throughput[l.worker]; ok {
-			c.throughput[l.worker] = (3*old + rate) / 4
-		} else {
-			c.throughput[l.worker] = rate
-		}
-	}
-}
-
-// undoneBounds is the tightest span covering sp's not-done shards;
-// ok is false when every shard of sp is complete. Callers hold mu.
-//
-//speclint:holds mu
-func (c *Coordinator) undoneBounds(sp experiment.Span) (experiment.Span, bool) {
-	lo, hi := -1, -1
-	for i := sp.Start; i < sp.End; i++ {
-		if !c.done[i] {
-			if lo < 0 {
-				lo = i
-			}
-			hi = i
-		}
-	}
-	if lo < 0 {
-		return experiment.Span{}, false
-	}
-	return experiment.Span{Start: lo, End: hi + 1}, true
+	return u
 }
 
 // newLease mints and registers one grant. Callers hold mu.
@@ -553,8 +351,7 @@ func (c *Coordinator) newLease(worker string, sp experiment.Span, now time.Time)
 	l := &leaseState{
 		id:  fmt.Sprintf("L%d", c.nextID),
 		seq: c.nextID, worker: worker, span: sp,
-		granted: now, expires: now.Add(c.lease),
-		lastBeat: now, lastRenew: now, lastProgress: now,
+		expires: now.Add(c.lease),
 	}
 	c.leases[l.id] = l
 	c.issued[l.id] = sp
@@ -564,84 +361,17 @@ func (c *Coordinator) newLease(worker string, sp experiment.Span, now time.Time)
 	return l
 }
 
-// grantBackup is speculative backup execution, the tail-latency half of
-// the MapReduce playbook the byte-equality dedup already paid for: when
-// the pending queue is empty but grants are still in flight, an idle
-// worker is handed a second copy of the oldest in-flight grant's undone
-// remainder instead of a Wait. Whichever copy lands first wins through
-// the normal dedup (a mismatch is still the 409 determinism tripwire);
-// the loser's duplicates are acknowledged and counted as wasted. Fences:
-// never the span's current holder, at most one live backup per span
-// (neither a backed-up primary nor a live backup is a candidate), and an
-// anonymous requester gets nothing (the holder fence needs an identity).
-// Returns nil when no grant qualifies. Callers hold mu.
-//
-//speclint:holds mu
-func (c *Coordinator) grantBackup(worker string, now time.Time) *leaseState {
-	if worker == "" {
-		return nil
-	}
-	var oldest *leaseState
-	var span experiment.Span
-	for _, l := range c.leases {
-		if l.worker == worker || l.backupID != "" || l.primaryID != "" {
-			continue
-		}
-		sp, ok := c.undoneBounds(l.span)
-		if !ok {
-			continue // fully done, just not yet expired
-		}
-		if oldest == nil || l.granted.Before(oldest.granted) ||
-			(l.granted.Equal(oldest.granted) && l.seq < oldest.seq) {
-			oldest, span = l, sp
-		}
-	}
-	if oldest == nil {
-		return nil
-	}
-	b := c.newLease(worker, span, now)
-	b.backup = true
-	b.primaryID = oldest.id
-	oldest.backupID = b.id
-	c.backupsIssued++
-	return b
-}
-
 // Stats snapshots the coordinator's scheduling state: run progress, the
-// live lease and queue shape, the speculative-backup counters, and
-// per-worker throughput/cadence estimates (sorted by worker name).
+// live lease and queue shape, and the grants issued so far.
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := Stats{
+	return Stats{
 		Run: c.run, Shards: c.n,
 		Done: c.n - c.remaining, Remaining: c.remaining,
 		PendingSpans: len(c.pending), Leases: len(c.leases),
-		BackupsIssued: c.backupsIssued, BackupsWon: c.backupsWon,
-		BackupsWasted:  c.backupsWasted,
-		CostEWMAMicros: c.costEWMA.Microseconds(),
+		Grants: c.nextID,
 	}
-	for _, l := range c.leases {
-		if l.backup {
-			st.BackupLeases++
-		}
-	}
-	seen := map[string]bool{}
-	for w := range c.throughput {
-		seen[w] = true
-	}
-	for w := range c.cadence {
-		seen[w] = true
-	}
-	for w := range seen {
-		ws := WorkerStats{Worker: w, ThroughputPerSec: c.throughput[w]}
-		if cad, ok := c.cadence[w]; ok {
-			ws.CadenceMillis = cad.Milliseconds()
-		}
-		st.Workers = append(st.Workers, ws)
-	}
-	sort.Slice(st.Workers, func(i, j int) bool { return st.Workers[i].Worker < st.Workers[j].Worker })
-	return st
 }
 
 // Handler returns the coordinator's HTTP interface.
@@ -715,7 +445,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	now := c.now()
-	c.sweepExpired()
+	c.sweepExpired(now)
 	if c.fatal != nil || c.remaining == 0 {
 		writeJSON(w, http.StatusOK, Lease{Done: true, Run: c.run})
 		return
@@ -729,10 +459,9 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 					// same grant back — the retry after a lease response
 					// lost in transit, not a request for more.
 					l.expires = now.Add(c.lease)
-					l.lastBeat = now
 					writeJSON(w, http.StatusOK, Lease{
 						ID: l.id, Run: c.run, Start: l.span.Start, End: l.span.End,
-						ExpiresMillis: c.lease.Milliseconds(), Backup: l.backup,
+						ExpiresMillis: c.lease.Milliseconds(),
 					})
 					return
 				}
@@ -742,28 +471,21 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 				// that chunk (the transport-error fallback) and moved on.
 				// The coordinator knows — releasing the undone remainder
 				// now, before granting fresh work, beats leaving those
-				// shards unserveable until the TTL cliff. The worker's
-				// cadence and throughput estimates survive: it is alive.
-				c.dropLease(l, false)
+				// shards unserveable until the TTL cliff.
+				c.dropLease(l)
 			}
 		}
 	}
 	if len(c.pending) == 0 {
-		if b := c.grantBackup(req.Worker, now); b != nil {
-			writeJSON(w, http.StatusOK, Lease{
-				ID: b.id, Run: c.run, Start: b.span.Start, End: b.span.End,
-				ExpiresMillis: c.lease.Milliseconds(), Backup: true,
-			})
-			return
-		}
 		writeJSON(w, http.StatusOK, Lease{Wait: true, Run: c.run, PollMillis: c.pollInterval().Milliseconds()})
 		return
 	}
-	// Carve the grant off the head span at the worker's target size; the
-	// remainder goes back to the front so the queue stays FIFO.
+	// Carve the grant off the head span; the remainder goes back to the
+	// front so the queue stays FIFO.
+	k := grantSize(c.chunk, c.queued())
 	sp := c.pending[0]
 	c.pending = c.pending[1:]
-	if k := c.targetChunkFor(req.Worker); sp.End-sp.Start > k {
+	if sp.End-sp.Start > k {
 		c.pending = append([]experiment.Span{{Start: sp.Start + k, End: sp.End}}, c.pending...)
 		sp.End = sp.Start + k
 	}
@@ -790,31 +512,15 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("renewal names run %q; this coordinator serves run %q", req.Run, c.run), http.StatusGone)
 		return
 	}
-	c.sweepExpired()
-	l, ok := c.leases[req.ID]
 	now := c.now()
-	if !ok || !now.Before(l.expires) {
+	c.sweepExpired(now)
+	l, ok := c.leases[req.ID]
+	if !ok {
 		// Expired (possibly re-issued already): the worker must abandon
 		// the chunk. Results it already streamed remain accepted.
-		if ok {
-			c.dropLease(l, true)
-		}
 		http.Error(w, "lease expired or unknown", http.StatusGone)
 		return
 	}
-	// Fold the renew-to-renew interval into the worker's cadence
-	// estimate; the adaptive re-issue deadline rides on it.
-	if l.worker != "" {
-		if dt := now.Sub(l.lastRenew); dt > 0 {
-			if old, seen := c.cadence[l.worker]; seen {
-				c.cadence[l.worker] = (3*old + dt) / 4
-			} else {
-				c.cadence[l.worker] = dt
-			}
-		}
-	}
-	l.lastRenew = now
-	l.lastBeat = now
 	l.expires = now.Add(c.lease)
 	writeJSON(w, http.StatusOK, Renewal{ExpiresMillis: c.lease.Milliseconds()})
 }
@@ -827,15 +533,17 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 // shard stays pending or leased and will be served again). A duplicate
 // of an already-done shard must be byte-identical to the accepted
 // result: equal bytes are acknowledged idempotently, unequal bytes are a
-// determinism-contract violation that fails the whole run (409).
+// determinism-contract violation that fails the whole run (409). A
+// body over maxResultBody is refused with 413; the lines before the cap
+// stay accepted.
 func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	sc := bufio.NewScanner(r.Body)
+	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, maxResultBody))
 	// A nil buffer starts at bufio's 4 KiB and grows only for long lines.
-	sc.Buffer(nil, 1<<26)
+	sc.Buffer(nil, maxResultBody)
 	accepted := 0
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
@@ -849,7 +557,12 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 		accepted++
 	}
 	if err := sc.Err(); err != nil {
-		writeJSON(w, http.StatusBadRequest, ResultAck{Accepted: accepted, Error: err.Error()})
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, ResultAck{Accepted: accepted, Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, ResultAck{Accepted: accepted})
@@ -877,21 +590,12 @@ func (c *Coordinator) acceptResult(line []byte) (int, error) {
 	if rl.Shard < span.Start || rl.Shard >= span.End {
 		return http.StatusBadRequest, fmt.Errorf("shard %d outside lease %s's span [%d,%d)", rl.Shard, rl.Lease, span.Start, span.End)
 	}
-	now := c.now()
-	// Only lines the coordinator actually accepts count as signs of life
-	// (and as "the grant was started"): rejected garbage must not keep a
-	// babbling-but-stuck worker's lease alive or defeat the unstarted
-	// re-poll idempotency. The started transition also anchors the
-	// per-shard cost clock: the gap between the grant and the first
-	// accepted result is fetch and idle time, not shard cost.
+	// Only lines the coordinator actually accepts mark the grant started:
+	// rejected garbage must not defeat the unstarted re-poll idempotency.
 	l := c.leases[rl.Lease]
-	beat := func(started bool) {
+	start := func() {
 		if l != nil {
-			l.lastBeat = now
-			if started && !l.started {
-				l.started = true
-				l.lastProgress = now
-			}
+			l.started = true
 		}
 	}
 	if c.done[rl.Shard] {
@@ -901,16 +605,10 @@ func (c *Coordinator) acceptResult(line []byte) (int, error) {
 			// a shard someone else already completed: moot by then — the
 			// accepted bytes satisfied the determinism contract, so the
 			// stale error must not poison the run.
-			beat(false)
 			return http.StatusOK, nil
 		case bytes.Equal(c.raw[rl.Shard], rl.Value):
-			// Idempotent duplicate from a re-issued or backup lease; a
-			// backup's duplicate means its primary got there first —
-			// wasted speculation, worth counting.
-			if l != nil && l.backup {
-				c.backupsWasted++
-			}
-			beat(true)
+			// Idempotent duplicate from a re-issued lease.
+			start()
 			return http.StatusOK, nil
 		default:
 			err := fmt.Errorf("remote: shard %d: duplicate result differs from accepted bytes — determinism contract violated", rl.Shard)
@@ -939,18 +637,11 @@ func (c *Coordinator) acceptResult(line []byte) (int, error) {
 			return http.StatusInternalServerError, err
 		}
 	}
-	first := l != nil && !l.started
-	beat(true)
+	start()
 	c.values[rl.Shard] = v
 	c.raw[rl.Shard] = append([]byte(nil), rl.Value...)
 	c.done[rl.Shard] = true
 	c.remaining--
-	if l != nil && l.backup {
-		c.backupsWon++ // the speculative copy landed first
-	}
-	if !first {
-		c.observeProgress(l, now)
-	}
 	if c.onDone != nil {
 		c.onDone()
 	}

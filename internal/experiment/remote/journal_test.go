@@ -2,12 +2,12 @@ package remote
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"specinterference/internal/experiment"
 	"specinterference/internal/results"
@@ -226,37 +226,6 @@ func TestJournalLocked(t *testing.T) {
 	second.Close()
 }
 
-// TestRenewCadenceFromRenewalsOnly pins the cadence estimator's input:
-// result arrivals are beats but not renewals. If they fed the cadence,
-// a fast-streaming worker's estimate would collapse to the inter-result
-// interval and the adaptive deadline would sweep it mid-chunk the
-// moment it hit one expensive shard.
-func TestRenewCadenceFromRenewalsOnly(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(11000, 0)}
-	p := results.Params{Trials: 9}
-	coord, url := startCoordinator(t, testSpec(t), p, 9, Config{Chunk: 9, Lease: 9 * time.Second, Now: clock.Now})
-
-	l := grantLease(t, url, "streamer")
-	// Results land every second; the renew only comes 3s after grant.
-	for shard := 0; shard < 2; shard++ {
-		clock.Advance(time.Second)
-		var ack ResultAck
-		if status := postDoc(t, url+"/results", ResultLine{Run: l.Run, Lease: l.ID, ShardLine: experiment.ShardLine{Shard: shard, Value: encodeValue(t, p, shard)}}, &ack); status != http.StatusOK {
-			t.Fatalf("shard %d: status %d", shard, status)
-		}
-	}
-	clock.Advance(time.Second)
-	if status := postDoc(t, url+"/renew", RenewRequest{ID: l.ID, Run: l.Run}, nil); status != http.StatusOK {
-		t.Fatalf("renew: status %d", status)
-	}
-	coord.mu.Lock()
-	got := coord.cadence["streamer"]
-	coord.mu.Unlock()
-	if got != 3*time.Second {
-		t.Errorf("cadence = %v, want 3s (the grant-to-renew interval, not the 1s inter-result interval)", got)
-	}
-}
-
 // TestLeaseRepollIdempotent pins the satellite-4 fix: a worker whose
 // lease response was lost in transit retries POST /lease; while its
 // grant is unexpired and unstarted it gets the same grant back, so the
@@ -348,112 +317,64 @@ func TestOutOfSpanResult(t *testing.T) {
 	}
 }
 
-// TestAdaptiveChunk: with no pinned -chunk, grant sizes track observed
-// shard cost — instantaneous completions grow the next grants toward
-// n/8, slow completions shrink them back to single shards. Values are
-// untouched either way.
-func TestAdaptiveChunk(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(5000, 0)}
+// TestGuidedChunk: with no pinned -chunk, each grant is ceil(U/16) of
+// the U shards still queued. At n=64 the grants run 4,4,4,4, then 3s,
+// 2s and sixteen single shards, covering [0,64) exactly once; a pinned
+// Chunk still fixes every grant's size.
+func TestGuidedChunk(t *testing.T) {
 	p := results.Params{Trials: 64}
 	spec := testSpec(t)
-	coord, url := startCoordinator(t, spec, p, 64, Config{Lease: 8 * time.Second, Now: clock.Now})
+	grants := func(cfg Config) []Lease {
+		_, url := startCoordinator(t, spec, p, 64, cfg)
+		var ls []Lease
+		for i := 0; ; i++ {
+			l := grantLease(t, url, fmt.Sprintf("w%d", i))
+			if l.Wait {
+				return ls
+			}
+			ls = append(ls, l)
+		}
+	}
+	covers := func(ls []Lease) {
+		t.Helper()
+		next := 0
+		for _, l := range ls {
+			if l.Start != next || l.End <= l.Start {
+				t.Fatalf("grant [%d,%d) after shard %d, want a non-empty span from %d", l.Start, l.End, next, next)
+			}
+			next = l.End
+		}
+		if next != 64 {
+			t.Fatalf("grants cover [0,%d), want [0,64)", next)
+		}
+	}
 
-	// Adaptive start: n/32 = 2 shards.
-	l := grantLease(t, url, "fast")
-	if got := l.End - l.Start; got != 2 {
-		t.Fatalf("first adaptive grant %d shards, want 2 (n/32)", got)
+	guided := grants(Config{})
+	covers(guided)
+	want := []int{4, 4, 4, 4, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2}
+	for len(want) < 33 {
+		want = append(want, 1)
 	}
-	// The worker finishes both instantly (no clock movement): per-shard
-	// cost collapses, so the next grant grows to the n/8 ceiling.
-	for shard := l.Start; shard < l.End; shard++ {
-		var ack ResultAck
-		if status := postDoc(t, url+"/results", ResultLine{Run: l.Run, Lease: l.ID, ShardLine: experiment.ShardLine{Shard: shard, Value: encodeValue(t, p, shard)}}, &ack); status != http.StatusOK {
-			t.Fatalf("shard %d: status %d", shard, status)
+	if len(guided) != len(want) {
+		t.Fatalf("%d guided grants, want %d", len(guided), len(want))
+	}
+	for i, l := range guided {
+		if got := l.End - l.Start; got != want[i] {
+			t.Errorf("guided grant %d = [%d,%d), %d shards; want %d", i, l.Start, l.End, got, want[i])
 		}
 	}
-	grown := grantLease(t, url, "fast")
-	if got := grown.End - grown.Start; got != 8 {
-		t.Fatalf("post-fast-completion grant %d shards, want 8 (n/8 ceiling)", got)
-	}
-	// Now every shard takes 5s — more than the lease/4 budget — so
-	// grants shrink back to one shard at a time.
-	for shard := grown.Start; shard < grown.End; shard++ {
-		clock.Advance(5 * time.Second)
-		var ack ResultAck
-		if status := postDoc(t, url+"/results", ResultLine{Run: grown.Run, Lease: grown.ID, ShardLine: experiment.ShardLine{Shard: shard, Value: encodeValue(t, p, shard)}}, &ack); status != http.StatusOK {
-			t.Fatalf("shard %d: status %d", shard, status)
-		}
-		// Keep the lease alive while the slow work drags on.
-		if status := postDoc(t, url+"/renew", RenewRequest{ID: grown.ID, Run: grown.Run}, nil); status != http.StatusOK {
-			t.Fatalf("renew: status %d", status)
+	for _, l := range guided[len(guided)-16:] {
+		if l.End-l.Start != 1 {
+			t.Errorf("tail grant [%d,%d), want one shard", l.Start, l.End)
 		}
 	}
-	shrunk := grantLease(t, url, "slow")
-	if got := shrunk.End - shrunk.Start; got != 1 {
-		t.Fatalf("post-slow-completion grant %d shards, want 1", got)
-	}
-	// Scheduling only: the values accepted so far are still exact.
-	coord.mu.Lock()
-	for i, d := range coord.done {
-		if d && coord.values[i] != float64(i*i) {
-			t.Errorf("shard %d = %v, want %v", i, coord.values[i], float64(i*i))
-		}
-	}
-	coord.mu.Unlock()
-}
 
-// TestAdaptiveReclaim: a worker that renewed on a fast, steady cadence
-// and then went silent loses its lease well before the hard TTL cliff —
-// the re-issue deadline adapts to the observed heartbeat.
-func TestAdaptiveReclaim(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(9000, 0)}
-	p := results.Params{Trials: 4}
-	_, url := startCoordinator(t, testSpec(t), p, 4, Config{Chunk: 4, Lease: 10 * time.Second, Now: clock.Now})
-
-	l := grantLease(t, url, "heartbeat")
-	// Three renewals at a 1s cadence.
-	for i := 0; i < 3; i++ {
-		clock.Advance(time.Second)
-		if status := postDoc(t, url+"/renew", RenewRequest{ID: l.ID, Run: l.Run}, nil); status != http.StatusOK {
-			t.Fatalf("renew %d: status %d", i, status)
+	pinned := grants(Config{Chunk: 5})
+	covers(pinned)
+	for i, l := range pinned {
+		size := l.End - l.Start
+		if i < len(pinned)-1 && size != 5 || i == len(pinned)-1 && size != 4 {
+			t.Errorf("pinned grant %d = [%d,%d), want 5 shards (4 for the last)", i, l.Start, l.End)
 		}
-	}
-	// Then silence. 5s later — half the hard TTL, but 3×cadence (and
-	// the lease/2 floor) passed with five missed beats — the chunk is
-	// re-issued to the next asker.
-	clock.Advance(5 * time.Second)
-	got := grantLease(t, url, "vulture")
-	if got.Wait || got.Done {
-		t.Fatalf("5s after a 1s-cadence worker went silent: lease = %+v, want a re-issued grant", got)
-	}
-	if got.Start != 0 || got.End != 4 {
-		t.Errorf("re-issued grant [%d,%d), want [0,4)", got.Start, got.End)
-	}
-}
-
-// TestAdaptiveReclaimLowerBound: the adaptive deadline never undercuts
-// TTL/2 — a worker renewing extremely often is not punished with a
-// hair-trigger reclaim.
-func TestAdaptiveReclaimLowerBound(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(9500, 0)}
-	p := results.Params{Trials: 4}
-	_, url := startCoordinator(t, testSpec(t), p, 4, Config{Chunk: 4, Lease: 10 * time.Second, Now: clock.Now})
-
-	l := grantLease(t, url, "eager")
-	for i := 0; i < 4; i++ {
-		clock.Advance(100 * time.Millisecond)
-		if status := postDoc(t, url+"/renew", RenewRequest{ID: l.ID, Run: l.Run}, nil); status != http.StatusOK {
-			t.Fatalf("renew %d: status %d", i, status)
-		}
-	}
-	// 3×cadence would be 300ms, but the floor is lease/2 = 5s: at 4s of
-	// silence the lease must still be held — a poacher gets at most a
-	// speculative backup copy, never the reclaimed span itself.
-	clock.Advance(4 * time.Second)
-	if got := grantLease(t, url, "vulture"); !got.Backup {
-		t.Errorf("4s after last beat (floor 5s): lease = %+v, want a backup copy (primary still held)", got)
-	}
-	if status := postDoc(t, url+"/renew", RenewRequest{ID: l.ID, Run: l.Run}, nil); status != http.StatusOK {
-		t.Errorf("renew before the floor: status %d, want %d (lease was reclaimed)", status, http.StatusOK)
 	}
 }

@@ -9,7 +9,7 @@
 //	POST /lease    LeaseRequest -> Lease   claim the next chunk (or wait/done)
 //	POST /renew    RenewRequest -> Renewal  extend a held lease's TTL
 //	POST /results  ResultLine JSON lines -> ResultAck   stream shard results
-//	GET  /stats    -> Stats        progress, backup counters, worker rates
+//	GET  /stats    -> Stats        progress, lease and queue shape, grants
 //
 // Workers are the same binary in a hidden -remote-worker mode; they fetch
 // the job once, then loop lease → run shards (the shared
@@ -21,15 +21,6 @@
 // the same shard must produce identical bytes, so a mismatch is a fatal
 // contract violation, not something to paper over.
 //
-// That dedup also buys speculative backup execution for free: when the
-// pending queue drains but grants are still in flight, an idle worker is
-// handed a backup copy of the oldest grant's undone remainder (never the
-// holder's own; at most one live backup per span) instead of a Wait, so
-// the run's tail is min(primary, backup) rather than the straggler's
-// lease TTL. Whichever copy lands first wins; the loser's duplicates are
-// acknowledged idempotently, and a divergent duplicate is still the 409
-// determinism tripwire.
-//
 // Every request is scoped to one coordinator instance by a per-run
 // random token (Job.Run): lease requests, renewals and result lines
 // that echo a different token are rejected with 410, so a worker that
@@ -40,13 +31,15 @@
 // granted; a lease id is not a license to post arbitrary in-range
 // shards.
 //
-// Chunk size and lease re-issue timing are adaptive (see Config), and a
-// coordinator given a -journal directory appends every accepted shard
-// result to an on-disk journal it replays after a restart, serving only
-// the remainder. All of that moves scheduling and wall-clock only:
-// shard values stay a pure function of (params, shard index), so record
-// signatures are byte-identical with or without faults, restarts, or
-// adaptation.
+// Grant sizes follow one rule, guided self-scheduling: unless pinned,
+// each grant is ceil(U/16) of the U shards still queued, so grants
+// shrink as the queue drains and a straggler's last chunk is small (see
+// Config.Chunk). A coordinator given a -journal directory appends every
+// accepted shard result to an on-disk journal it replays after a
+// restart, serving only the remainder. All of that moves scheduling and
+// wall-clock only: shard values stay a pure function of (params, shard
+// index), so record signatures are byte-identical with or without
+// faults, restarts or chunking.
 package remote
 
 import (
@@ -84,9 +77,9 @@ type Job struct {
 }
 
 // LeaseRequest asks for the next chunk; Worker is a diagnostic identity
-// (host-pid) the scheduler also keys idempotent re-polls and renew
-// cadence on — a scheduling input, never a correctness input. Run must
-// echo the job's run token.
+// (host-pid) the scheduler also keys idempotent re-polls and
+// abandoned-grant release on — a scheduling input, never a correctness
+// input. Run must echo the job's run token.
 type LeaseRequest struct {
 	Worker string `json:"worker"`
 	Run    string `json:"run"`
@@ -105,11 +98,8 @@ type Lease struct {
 	// ExpiresMillis is the TTL: unfinished shards return to the queue
 	// this many milliseconds from the grant unless renewed.
 	ExpiresMillis int64 `json:"expires_ms,omitempty"`
-	// Backup marks a speculative backup grant: a second copy of another
-	// worker's in-flight remainder, issued when the pending queue
-	// drained. Purely informational for the worker — it runs the span
-	// exactly like a primary grant; the coordinator's byte-equality
-	// dedup decides which copy wins.
+	// Backup is never set by this coordinator; the field stays in the
+	// wire format so existing decoders of Lease keep working.
 	Backup bool `json:"backup,omitempty"`
 	// Wait means every shard is leased or done but the run isn't over:
 	// poll again in PollMillis (a crashed peer's lease may expire).
@@ -158,44 +148,20 @@ type ResultAck struct {
 	Error    string `json:"error,omitempty"`
 }
 
-// WorkerStats is one worker's scheduling estimates in a Stats snapshot.
-type WorkerStats struct {
-	// Worker is the worker's self-reported identity (host-pid-seq).
-	Worker string `json:"worker"`
-	// ThroughputPerSec is the worker's accepted-shards-per-second EWMA;
-	// adaptive grant sizes scale with it relative to the fleet mean.
-	ThroughputPerSec float64 `json:"throughput_per_sec"`
-	// CadenceMillis is the worker's renew-cadence EWMA (0 = no renewals
-	// observed yet); the adaptive re-issue deadline rides on it.
-	CadenceMillis int64 `json:"cadence_ms,omitempty"`
-}
-
 // Stats is the GET /stats snapshot: run progress, the live lease and
-// queue shape, the speculative-backup counters, and per-worker
-// scheduling estimates. Observability only — nothing here feeds back
-// into results.
+// queue shape, and the grants issued so far. Observability only —
+// nothing here feeds back into results.
 type Stats struct {
 	Run          string `json:"run"`
 	Shards       int    `json:"shards"`
 	Done         int    `json:"done"`
 	Remaining    int    `json:"remaining"`
 	PendingSpans int    `json:"pending_spans"`
-	// Leases counts every outstanding grant; BackupLeases counts the
-	// live speculative copies among them.
-	Leases       int `json:"leases"`
-	BackupLeases int `json:"backup_leases"`
-	// BackupsIssued / BackupsWon / BackupsWasted: backup leases granted
-	// over the whole run, shards whose first accepted result arrived
-	// under a backup, and byte-equal duplicates a backup streamed after
-	// its primary had already landed the shard.
-	BackupsIssued int `json:"backups_issued"`
-	BackupsWon    int `json:"backups_won"`
-	BackupsWasted int `json:"backups_wasted"`
-	// CostEWMAMicros is the observed per-shard completion cost driving
-	// adaptive chunk sizing, in microseconds (0 = no estimate yet).
-	CostEWMAMicros int64 `json:"cost_ewma_us"`
-	// Workers lists per-worker estimates, sorted by worker name.
-	Workers []WorkerStats `json:"workers,omitempty"`
+	// Leases counts the outstanding grants.
+	Leases int `json:"leases"`
+	// Grants counts the grants issued over the whole run; a re-poll
+	// answered with the worker's own unstarted grant is not a new one.
+	Grants int `json:"grants"`
 }
 
 // mustJSON encodes a response document; protocol types marshal without

@@ -10,7 +10,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -42,8 +41,8 @@ type Remote struct {
 	Workers int
 	// Lease is the lease TTL (0 = DefaultLease).
 	Lease time.Duration
-	// Chunk is the shards-per-lease granularity (0 = adaptive: grants
-	// start at n/32 and track observed per-shard cost; see Config.Chunk).
+	// Chunk is the shards-per-lease granularity (0 = guided: each grant
+	// is ceil(U/16) of the U shards still queued; see Config.Chunk).
 	Chunk int
 	// Journal, when non-empty, is a directory holding one append-only
 	// shard-result journal per experiment (<dir>/<experiment>.jsonl, the
@@ -135,7 +134,7 @@ func (b Remote) Run(ctx context.Context, spec *experiment.Spec, p results.Params
 	select {
 	case <-coord.Finished():
 	case <-ctx.Done():
-		workers.kill()
+		workers.stop()
 		return nil, ctx.Err()
 	case <-workers.exited:
 		// Every local worker is gone. If that's because the job just
@@ -146,47 +145,31 @@ func (b Remote) Run(ctx context.Context, spec *experiment.Spec, p results.Params
 			return nil, fmt.Errorf("remote: all %d local workers exited before the run completed: %w", b.Procs, workers.firstErr())
 		}
 	}
-	// Give local workers one poll cycle to observe Done and exit cleanly;
-	// stragglers are killed rather than orphaned.
-	workers.reap(coord.pollInterval() + time.Second)
-	fmt.Fprintln(stderr, runSummary(coord.Stats()))
+	// Every result is in, so the local workers have nothing left to do:
+	// one may still be mid-shard on a duplicate or asleep in a Wait.
+	workers.stop()
+	st := coord.Stats()
+	fmt.Fprintf(stderr, "remote: run complete: %d shards in %d grants\n", st.Shards, st.Grants)
 	return coord.Values()
-}
-
-// runSummary renders the end-of-run scheduling summary: shard count, the
-// speculative-backup counters, and each worker's observed throughput —
-// the tail-latency machinery's speedup made visible instead of vibes.
-func runSummary(st Stats) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "remote: run complete: %d shards; backups: %d issued, %d won, %d wasted",
-		st.Shards, st.BackupsIssued, st.BackupsWon, st.BackupsWasted)
-	for i, ws := range st.Workers {
-		if i == 0 {
-			sb.WriteString("; throughput:")
-		} else {
-			sb.WriteString(",")
-		}
-		fmt.Fprintf(&sb, " %s %.1f/s", ws.Worker, ws.ThroughputPerSec)
-	}
-	return sb.String()
 }
 
 // localWorkers tracks the worker processes a coordinator spawned beside
 // itself.
 type localWorkers struct {
-	cmds   []*exec.Cmd
-	exited chan struct{} // closed when every worker exited (never, when none spawned)
-	mu     sync.Mutex
-	errs   []error // worker exit failures; guarded by mu
-	wg     sync.WaitGroup
+	cmds    []*exec.Cmd
+	exited  chan struct{} // closed when every worker exited (never, when none spawned)
+	mu      sync.Mutex
+	errs    []error // worker exit failures; guarded by mu
+	stopped bool    // stop killed the workers, so their exits are expected; guarded by mu
+	wg      sync.WaitGroup
 }
 
 // slowWorkerEnv is the spawn-side half of the shardDelayEnv fault shim:
 // when set to a time.Duration string, the FIRST local worker is started
 // with that per-shard delay while the rest run at full speed — a
-// reproducible straggler, so the CI backup-execution gate can drive
-// speculative backup leases through a stock `resultstore check -backend
-// remote` run. Never set in normal operation.
+// reproducible straggler, so the CI straggler gate can run a stock
+// `resultstore check -backend remote` with one slow worker. Never set
+// in normal operation.
 const slowWorkerEnv = "SPECINTERFERENCE_REMOTE_SLOW_WORKER"
 
 // spawnLocalWorkers starts Procs re-exec'd -remote-worker processes
@@ -212,11 +195,11 @@ func (b Remote) spawnLocalWorkers(ctx context.Context, url string, stderr io.Wri
 		}
 		pipe, err := cmd.StderrPipe()
 		if err != nil {
-			lw.kill()
+			lw.stop()
 			return nil, err
 		}
 		if err := cmd.Start(); err != nil {
-			lw.kill()
+			lw.stop()
 			return nil, fmt.Errorf("remote: spawn local worker: %w", err)
 		}
 		lw.cmds = append(lw.cmds, cmd)
@@ -226,8 +209,14 @@ func (b Remote) spawnLocalWorkers(ctx context.Context, url string, stderr io.Wri
 			experiment.CopyPrefixedLines(stderr, &stderrMu, fmt.Sprintf("[remote-worker %d] ", id), pipe)
 			if err := cmd.Wait(); err != nil {
 				lw.mu.Lock()
-				lw.errs = append(lw.errs, fmt.Errorf("worker %d: %w", id, err))
+				stopped := lw.stopped
+				if !stopped {
+					lw.errs = append(lw.errs, fmt.Errorf("worker %d: %w", id, err))
+				}
 				lw.mu.Unlock()
+				if stopped {
+					return
+				}
 				stderrMu.Lock()
 				fmt.Fprintf(stderr, "[remote-worker %d] exited: %v\n", id, err)
 				stderrMu.Unlock()
@@ -252,25 +241,16 @@ func (lw *localWorkers) firstErr() error {
 	return fmt.Errorf("workers exited cleanly with shards outstanding")
 }
 
-// kill terminates every worker process immediately.
-func (lw *localWorkers) kill() {
+// stop kills every worker process and waits for them all to exit. The
+// workers were stopped on purpose, so their exits are not reported.
+func (lw *localWorkers) stop() {
+	lw.mu.Lock()
+	lw.stopped = true
+	lw.mu.Unlock()
 	for _, cmd := range lw.cmds {
 		if cmd.Process != nil {
 			cmd.Process.Kill()
 		}
 	}
-}
-
-// reap waits up to grace for the workers to exit on their own, then
-// kills the rest.
-func (lw *localWorkers) reap(grace time.Duration) {
-	if len(lw.cmds) == 0 {
-		return
-	}
-	select {
-	case <-lw.exited:
-	case <-time.After(grace):
-		lw.kill()
-		<-lw.exited
-	}
+	lw.wg.Wait()
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -32,6 +33,33 @@ func init() {
 			return nil, fmt.Errorf("unit tests aggregate by hand")
 		},
 	})
+}
+
+// slowSpec is the remote-test spec with shards that take half a second each, so
+// every local worker has polled at least once before the first result
+// lands.
+const slowSpec = "remote-test-slow"
+
+func init() {
+	experiment.Register(&experiment.Spec{
+		Name: slowSpec,
+		Plan: func(p results.Params) (int, error) { return p.Trials, nil },
+		Run: func(_ context.Context, _ any, p results.Params, i int) (any, error) {
+			time.Sleep(500 * time.Millisecond)
+			return float64(i*i) + float64(p.Seed), nil
+		},
+		NewShard: func() any { return new(float64) },
+		Aggregate: func(p results.Params, shards []any) (*results.Record, error) {
+			return nil, fmt.Errorf("unit tests aggregate by hand")
+		},
+	})
+}
+
+// TestMain lets this test binary serve as the local workers that
+// Remote{Procs: N} spawns.
+func TestMain(m *testing.M) {
+	RunWorkerIfRequested()
+	os.Exit(m.Run())
 }
 
 func testSpec(t *testing.T) *experiment.Spec {
@@ -241,31 +269,25 @@ func TestLeaseExpiryReissue(t *testing.T) {
 		t.Fatalf("result: status %d", status)
 	}
 
-	// Before expiry there is nothing in the queue, but the doomed grant
-	// is in flight: an idle worker gets a speculative backup of its
-	// undone remainder (shards 0, 2, 3 — bounding span [0,4)) instead of
-	// a Wait. This vulture then stalls too, so expiry still plays out.
-	bk := grantLease(t, url, "vulture")
-	if !bk.Backup || bk.Start != 0 || bk.End != 4 {
-		t.Fatalf("pre-expiry lease = %+v, want a backup of [0,4)", bk)
+	// Before expiry there is nothing in the queue and the doomed grant is
+	// still held: an idle worker is told to wait.
+	if l := grantLease(t, url, "vulture"); !l.Wait {
+		t.Fatalf("pre-expiry lease = %+v, want wait", l)
 	}
 	clock.Advance(2 * time.Second)
-	// After expiry — the primary and its backup both lapsed — the
-	// unfinished shards are re-issued exactly once, as contiguous
-	// sub-spans around the completed shard 1: [0,1) then [2,4). Two
-	// distinct workers ask — a re-poll from one worker would
+	// After expiry the unfinished shards are re-issued exactly once, as
+	// contiguous sub-spans around the completed shard 1: [0,1) then
+	// [2,4). Two distinct workers ask — a re-poll from one worker would
 	// idempotently return its own unstarted grant.
 	a := grantLease(t, url, "vulture-a")
 	b := grantLease(t, url, "vulture-b")
 	if a.Start != 0 || a.End != 1 || b.Start != 2 || b.End != 4 {
 		t.Fatalf("re-issued spans [%d,%d) [%d,%d), want [0,1) [2,4)", a.Start, a.End, b.Start, b.End)
 	}
-	// Had the double expiry requeued the span twice, a third asker would
-	// be handed a duplicate copy from the queue rather than a wait/backup
-	// answer (both live grants are unstarted re-issues, not backup
-	// targets with progress, so nothing else is grantable).
-	if l := grantLease(t, url, "vulture-c"); !l.Wait && !l.Backup {
-		t.Fatalf("post-reissue third lease = %+v, want wait or backup, not a queued duplicate", l)
+	// Had the expiry requeued the span twice, a third asker would be
+	// handed a duplicate copy from the queue rather than a wait.
+	if l := grantLease(t, url, "vulture-c"); !l.Wait {
+		t.Fatalf("post-reissue third lease = %+v, want wait, not a queued duplicate", l)
 	}
 
 	// Renewing the expired lease must fail.
@@ -316,13 +338,12 @@ func TestRenewExtendsLease(t *testing.T) {
 	// 1.8s after grant but only 0.9s after renewal: the lease survived
 	// its original TTL — the holder's re-poll gets the same unstarted
 	// grant back instead of a fresh one carved from a requeued span, and
-	// an idle stranger is offered only a speculative backup of it, never
-	// the span itself off the queue.
+	// an idle stranger is told to wait, never handed the span itself.
 	if got := grantLease(t, url, "steady"); got.ID != l.ID {
 		t.Errorf("post-renew re-poll = %+v, want the held grant %s back", got, l.ID)
 	}
-	if got := grantLease(t, url, "vulture"); !got.Backup {
-		t.Errorf("post-renew stranger lease = %+v, want a backup (lease still held)", got)
+	if got := grantLease(t, url, "vulture"); !got.Wait {
+		t.Errorf("post-renew stranger lease = %+v, want wait (lease still held)", got)
 	}
 }
 
@@ -332,101 +353,6 @@ func postShard(t *testing.T, url string, p results.Params, run, lease string, sh
 	var ack ResultAck
 	if status := postDoc(t, url+"/results", ResultLine{Run: run, Lease: lease, ShardLine: experiment.ShardLine{Shard: shard, Value: encodeValue(t, p, shard)}}, &ack); status != http.StatusOK {
 		t.Fatalf("shard %d: status %d", shard, status)
-	}
-}
-
-// TestBackupAvoidsTTLCliff is the tail-latency acceptance test: with one
-// of three workers stalled mid-chunk, the run finishes through a
-// speculative backup lease while the stalled lease's TTL (an hour, on a
-// fake clock that never advances past a second) is nowhere near expiry —
-// the coordinator no longer waits out the cliff. Also pins the backup
-// fences: one live backup per span, and an already-satisfied span is
-// never a backup target.
-func TestBackupAvoidsTTLCliff(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(3000, 0)}
-	p := results.Params{Trials: 6, Seed: 2}
-	spec := testSpec(t)
-	coord, url := startCoordinator(t, spec, p, 6, Config{Chunk: 2, Lease: time.Hour, Now: clock.Now})
-
-	la := grantLease(t, url, "alpha") // [0,2)
-	lb := grantLease(t, url, "beta")  // [2,4)
-	lc := grantLease(t, url, "gamma") // [4,6)
-	if la.Start != 0 || lb.Start != 2 || lc.Start != 4 {
-		t.Fatalf("grants [%d %d %d], want [0 2 4]", la.Start, lb.Start, lc.Start)
-	}
-	postShard(t, url, p, la.Run, la.ID, 0)
-	postShard(t, url, p, la.Run, la.ID, 1)
-	postShard(t, url, p, lc.Run, lc.ID, 4)
-	postShard(t, url, p, lc.Run, lc.ID, 5)
-	// beta completes shard 2, then stalls mid-chunk with shard 3 undone.
-	postShard(t, url, p, lb.Run, lb.ID, 2)
-
-	clock.Advance(time.Second) // far from the one-hour cliff
-	// alpha, idle again, asks for more: the queue is empty, so it gets a
-	// speculative backup of beta's undone remainder [3,4) — never a Wait.
-	bk := grantLease(t, url, "alpha")
-	if !bk.Backup || bk.Start != 3 || bk.End != 4 {
-		t.Fatalf("idle-worker lease = %+v, want a backup of [3,4)", bk)
-	}
-	// One backup per span: a fourth worker is told to wait, not handed a
-	// third copy.
-	if l := grantLease(t, url, "delta"); !l.Wait {
-		t.Fatalf("second idle lease = %+v, want wait (span already backed up)", l)
-	}
-	// The backup's result finishes the run with the stalled lease still
-	// hours from expiry.
-	postShard(t, url, p, bk.Run, bk.ID, 3)
-	select {
-	case <-coord.Finished():
-	default:
-		t.Fatal("run not finished after the backup result landed")
-	}
-	vals, err := coord.Values()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range vals {
-		if want := float64(i*i) + float64(p.Seed); v != want {
-			t.Errorf("shard %d = %v, want %v", i, v, want)
-		}
-	}
-	st := coord.Stats()
-	if st.BackupsIssued != 1 || st.BackupsWon != 1 || st.BackupsWasted != 0 {
-		t.Errorf("backup counters issued/won/wasted = %d/%d/%d, want 1/1/0", st.BackupsIssued, st.BackupsWon, st.BackupsWasted)
-	}
-	// beta's straggler copy of shard 3 arrives late: acknowledged
-	// idempotently, and not counted against the backup.
-	postShard(t, url, p, lb.Run, lb.ID, 3)
-	if st := coord.Stats(); st.BackupsWasted != 0 {
-		t.Errorf("primary straggler counted as wasted backup: %+v", st)
-	}
-}
-
-// TestBackupDuplicateWasted: when the primary wins a shard the backup
-// also ran, the backup's byte-equal duplicate is acknowledged and
-// counted as wasted speculation; a divergent duplicate from a backup is
-// still the 409 determinism tripwire.
-func TestBackupDuplicateWasted(t *testing.T) {
-	p := results.Params{Trials: 3, Seed: 11}
-	coord, url := startCoordinator(t, testSpec(t), p, 3, Config{Chunk: 3})
-	prim := grantLease(t, url, "prim")
-	postShard(t, url, p, prim.Run, prim.ID, 0) // started; 1,2 undone
-	bk := grantLease(t, url, "spec")
-	if !bk.Backup || bk.Start != 1 || bk.End != 3 {
-		t.Fatalf("backup lease = %+v, want backup of [1,3)", bk)
-	}
-	// Primary lands shard 1 first; the backup's copy is wasted.
-	postShard(t, url, p, prim.Run, prim.ID, 1)
-	postShard(t, url, p, bk.Run, bk.ID, 1)
-	if st := coord.Stats(); st.BackupsIssued != 1 || st.BackupsWon != 0 || st.BackupsWasted != 1 {
-		t.Errorf("backup counters issued/won/wasted = %d/%d/%d, want 1/0/1", st.BackupsIssued, st.BackupsWon, st.BackupsWasted)
-	}
-	// A forged divergent copy from the backup fails the run.
-	if status := postDoc(t, url+"/results", ResultLine{Run: bk.Run, Lease: bk.ID, ShardLine: experiment.ShardLine{Shard: 1, Value: json.RawMessage("424242")}}, nil); status != http.StatusConflict {
-		t.Errorf("divergent backup duplicate: status %d, want %d", status, http.StatusConflict)
-	}
-	if _, err := coord.Values(); err == nil || !strings.Contains(err.Error(), "determinism") {
-		t.Errorf("Values() = %v, want determinism violation", err)
 	}
 }
 
@@ -447,10 +373,10 @@ func TestAbandonedGrantRelease(t *testing.T) {
 	postShard(t, url, p, l1.Run, l1.ID, 0) // started
 	clock.Advance(time.Second)             // nowhere near the cliff
 	// The worker abandoned the chunk and asks again: the old lease's
-	// remainder [1,4) must come back immediately as a regular grant —
-	// not the same lease, not a backup, and not a TTL-long stall.
+	// remainder [1,4) must come back immediately as a fresh grant —
+	// not the same lease, and not a TTL-long stall.
 	l2 := grantLease(t, url, "flaky")
-	if l2.ID == l1.ID || l2.Backup || l2.Wait || l2.Start != 1 || l2.End != 4 {
+	if l2.ID == l1.ID || l2.Wait || l2.Start != 1 || l2.End != 4 {
 		t.Fatalf("re-poll after abandonment = %+v, want a fresh grant of [1,4)", l2)
 	}
 	// The abandoned lease is gone: renewing it fails...
@@ -474,8 +400,8 @@ func TestAbandonedGrantRelease(t *testing.T) {
 }
 
 // TestWorkerStatePruned pins the state-leak bugfix: churning through
-// many short-lived workers must not grow byWorker, cadence or throughput
-// without bound — a swept worker's entries go with its last lease.
+// many short-lived workers must not grow byWorker or the lease table
+// without bound — a swept worker's entry goes with its last lease.
 func TestWorkerStatePruned(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(5000, 0)}
 	p := results.Params{Trials: 64, Seed: 1}
@@ -488,8 +414,7 @@ func TestWorkerStatePruned(t *testing.T) {
 		if l.Wait || l.Done {
 			t.Fatalf("worker %s got no grant: %+v", w, l)
 		}
-		// A renewal seeds the cadence map; a posted result seeds
-		// throughput — the maps under test.
+		// The worker renews and posts a result before it goes.
 		clock.Advance(100 * time.Millisecond)
 		if status := postDoc(t, url+"/renew", RenewRequest{ID: l.ID, Run: l.Run}, nil); status != http.StatusOK {
 			t.Fatalf("renew %s: status %d", w, status)
@@ -508,103 +433,25 @@ func TestWorkerStatePruned(t *testing.T) {
 	if len(coord.byWorker) > 1 {
 		t.Errorf("byWorker holds %d entries after churn, want <= 1", len(coord.byWorker))
 	}
-	if len(coord.cadence) > 1 {
-		t.Errorf("cadence holds %d entries after churn, want <= 1 (stale EWMAs leak)", len(coord.cadence))
-	}
-	if len(coord.throughput) > 1 {
-		t.Errorf("throughput holds %d entries after churn, want <= 1", len(coord.throughput))
-	}
 	if len(coord.leases) > 1 {
 		t.Errorf("%d leases outstanding after churn, want <= 1", len(coord.leases))
 	}
 }
 
-// TestFirstResultAnchorsCostEWMA pins the cost-poisoning bugfix: a long
-// gap between a grant and its first result (job fetch, the wait/poll
-// loop) is idle time, not shard cost, and must not collapse the adaptive
-// chunk size.
-func TestFirstResultAnchorsCostEWMA(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(6000, 0)}
-	p := results.Params{Trials: 8, Seed: 4}
-	coord, url := startCoordinator(t, testSpec(t), p, 8, Config{Chunk: 4, Lease: time.Hour, Now: clock.Now})
-
-	l := grantLease(t, url, "idler")
-	clock.Advance(30 * time.Second) // a long idle stretch before any result
-	postShard(t, url, p, l.Run, l.ID, 0)
-	coord.mu.Lock()
-	ewma := coord.costEWMA
-	coord.mu.Unlock()
-	if ewma != 0 {
-		t.Fatalf("first result fed the cost EWMA (%v); it must only anchor the clock", ewma)
-	}
-	clock.Advance(50 * time.Millisecond)
-	postShard(t, url, p, l.Run, l.ID, 1)
-	coord.mu.Lock()
-	ewma = coord.costEWMA
-	tp := coord.throughput["idler"]
-	coord.mu.Unlock()
-	if ewma != 50*time.Millisecond {
-		t.Errorf("cost EWMA after one interval = %v, want exactly 50ms (the idle gap leaked in)", ewma)
-	}
-	if want := 20.0; tp != want {
-		t.Errorf("throughput EWMA = %v shards/s, want %v", tp, want)
-	}
-}
-
-// TestThroughputScalesGrants: with two workers whose observed completion
-// rates differ, the fast worker's adaptive grants are larger than the
-// slow worker's — within the global [1, n/8] clamp and a 4x band.
-func TestThroughputScalesGrants(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(7000, 0)}
-	p := results.Params{Trials: 1024, Seed: 3}
-	coord, url := startCoordinator(t, testSpec(t), p, 1024, Config{Now: clock.Now})
-
-	fast := grantLease(t, url, "fast")
-	slow := grantLease(t, url, "slow")
-	post := func(l Lease, shard int, step time.Duration) {
-		clock.Advance(step)
-		postShard(t, url, p, l.Run, l.ID, shard)
-	}
-	// Interleave so both EWMAs see result-to-result intervals: fast
-	// completes a shard every 10ms, slow every 160ms.
-	post(fast, fast.Start, 0)
-	post(slow, slow.Start, 0)
-	for i := 1; i < 8; i++ {
-		post(fast, fast.Start+i, 10*time.Millisecond)
-		post(slow, slow.Start+i, 160*time.Millisecond)
-	}
-	coord.mu.Lock()
-	kFast := coord.targetChunkFor("fast")
-	kSlow := coord.targetChunkFor("slow")
-	kAnon := coord.targetChunkFor("")
-	coord.mu.Unlock()
-	if kFast <= kSlow {
-		t.Errorf("targetChunk fast=%d slow=%d, want fast > slow", kFast, kSlow)
-	}
-	if kFast < 1 || kFast > 128 || kSlow < 1 || kSlow > 128 {
-		t.Errorf("chunk sizes fast=%d slow=%d escaped [1, n/8]", kFast, kSlow)
-	}
-	if base := coord.targetChunk(); kAnon != base {
-		t.Errorf("anonymous worker chunk = %d, want the global target %d", kAnon, base)
-	}
-}
-
 // TestStatsEndpoint: GET /stats serves a JSON snapshot whose progress,
-// lease and backup fields track the run.
+// lease and grant fields track the run.
 func TestStatsEndpoint(t *testing.T) {
 	p := results.Params{Trials: 4, Seed: 6}
 	_, url := startCoordinator(t, testSpec(t), p, 4, Config{Chunk: 4})
 	prim := grantLease(t, url, "prim")
-	// Two results per worker: the first anchors its clock, the second
-	// yields an interval, so both earn a throughput estimate.
 	postShard(t, url, p, prim.Run, prim.ID, 0)
 	postShard(t, url, p, prim.Run, prim.ID, 1)
-	bk := grantLease(t, url, "spec")
-	if !bk.Backup || bk.Start != 2 || bk.End != 4 {
-		t.Fatalf("second lease = %+v, want backup of [2,4)", bk)
+	// The one grant holds every shard: a second worker waits.
+	if l := grantLease(t, url, "idle"); !l.Wait {
+		t.Fatalf("second lease = %+v, want wait", l)
 	}
-	postShard(t, url, p, bk.Run, bk.ID, 2)
-	postShard(t, url, p, bk.Run, bk.ID, 3)
+	postShard(t, url, p, prim.Run, prim.ID, 2)
+	postShard(t, url, p, prim.Run, prim.ID, 3)
 
 	resp, err := http.Get(url + "/stats")
 	if err != nil {
@@ -621,21 +468,8 @@ func TestStatsEndpoint(t *testing.T) {
 	if st.Shards != 4 || st.Done != 4 || st.Remaining != 0 {
 		t.Errorf("stats progress = %d/%d/%d, want shards 4 done 4 remaining 0", st.Shards, st.Done, st.Remaining)
 	}
-	if st.Leases != 2 || st.BackupLeases != 1 {
-		t.Errorf("stats leases = %d (backup %d), want 2 (1)", st.Leases, st.BackupLeases)
-	}
-	if st.BackupsIssued != 1 || st.BackupsWon != 2 {
-		t.Errorf("stats backups issued/won = %d/%d, want 1/2", st.BackupsIssued, st.BackupsWon)
-	}
-	// Both workers posted two results, so both appear with throughput
-	// estimates, sorted by name.
-	if len(st.Workers) != 2 || st.Workers[0].Worker != "prim" || st.Workers[1].Worker != "spec" {
-		t.Fatalf("stats workers = %+v, want prim then spec", st.Workers)
-	}
-	for _, ws := range st.Workers {
-		if ws.ThroughputPerSec <= 0 {
-			t.Errorf("worker %s throughput = %v, want > 0", ws.Worker, ws.ThroughputPerSec)
-		}
+	if st.Leases != 1 || st.Grants != 1 || st.PendingSpans != 0 {
+		t.Errorf("stats leases/grants/pending = %d/%d/%d, want 1/1/0", st.Leases, st.Grants, st.PendingSpans)
 	}
 }
 
@@ -796,5 +630,48 @@ func TestRemoteBackendViaFactory(t *testing.T) {
 		if names[i] != want[i] {
 			t.Fatalf("BackendNames() = %v, want %v", names, want)
 		}
+	}
+}
+
+// TestRunReturnsPromptly: Remote.Run returns as soon as the last result
+// lands, even though one local worker still has work in hand. One
+// shard, two workers, the first slowed by the fault shim: one worker
+// runs the shard while the other sleeps through a one-second Wait, or
+// is still in its slowed shard when the fast copy is in. Run must stop
+// that worker instead of waiting for it, and must not report its exit.
+func TestRunReturnsPromptly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	t.Setenv(slowWorkerEnv, "1500ms")
+	spec, err := experiment.Lookup(slowSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var last time.Time
+	done := func() {
+		mu.Lock()
+		last = time.Now()
+		mu.Unlock()
+	}
+	var stderr bytes.Buffer
+	b := Remote{Procs: 2, Stderr: &stderr}
+	vals, err := b.Run(context.Background(), spec, results.Params{Trials: 1, Seed: 3}, 1, done)
+	returned := time.Now()
+	if err != nil {
+		t.Fatalf("%v\nstderr:\n%s", err, stderr.String())
+	}
+	if len(vals) != 1 || vals[0] != 3.0 {
+		t.Fatalf("values = %v, want [3]", vals)
+	}
+	mu.Lock()
+	lag := returned.Sub(last)
+	mu.Unlock()
+	if lag > 400*time.Millisecond {
+		t.Errorf("Run returned %v after the last result, want well under the 1s poll interval\nstderr:\n%s", lag, stderr.String())
+	}
+	if strings.Contains(stderr.String(), "exited:") {
+		t.Errorf("a worker stopped after the finish was reported as a failure:\n%s", stderr.String())
 	}
 }

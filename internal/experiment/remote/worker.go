@@ -29,9 +29,9 @@ var workerSeq atomic.Int64
 
 // shardDelayEnv is a fault-injection shim: a time.Duration string that
 // makes this worker sleep that long before streaming each shard result,
-// turning it into an artificial straggler. The CI backup-execution gate
-// sets it on one of two local workers (see slowWorkerEnv in remote.go)
-// so speculative backup leases are exercised on every push; never set in
+// turning it into an artificial straggler. The CI straggler gate sets
+// it on one of two local workers (see slowWorkerEnv in remote.go), so a
+// slow worker holding grants is exercised on every push; never set in
 // normal operation. Scheduling only — a slowed worker's results are
 // byte-identical, just late.
 const shardDelayEnv = "SPECINTERFERENCE_REMOTE_SHARD_DELAY"
