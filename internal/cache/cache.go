@@ -18,16 +18,25 @@ type Stats struct {
 // Cache is one set-associative cache level (or one LLC slice). It tracks
 // only tags and replacement state; data always comes from the flat memory,
 // which is kept architecturally current (stores write through at retire).
+//
+// Every path that mutates a set (Fill, Touch, Invalidate, and SetState's
+// handout) records the set in a dirty list, so Reset and InvalidateAll
+// visit only the sets touched since the last Reset: a reset costs the
+// trial's footprint, not the cache's capacity, the same way mem.Memory
+// resets only the words it wrote. A set not on the list holds only invalid
+// ways and fresh replacement state.
 type Cache struct {
-	name   string
-	sets   int
-	ways   int
-	lat    int
-	policy PolicyKind
-	state  []SetState
-	lines  [][]int64 // line address per way, or -1 when invalid
-	valid  [][]bool
-	stats  Stats
+	name    string
+	sets    int
+	ways    int
+	lat     int
+	policy  PolicyKind
+	state   []SetState
+	lines   [][]int64 // line address per way, or -1 when invalid
+	valid   [][]bool
+	dirty   []int32 // sets mutated since the last Reset, first-touch order
+	isDirty []bool  // set membership of dirty
+	stats   Stats
 }
 
 // NewCache builds a cache. sets must be a power of two; lat is the hit
@@ -46,6 +55,8 @@ func NewCache(name string, sets, ways, lat int, policy PolicyKind, rng *Rand) *C
 	c.state = make([]SetState, sets)
 	c.lines = make([][]int64, sets)
 	c.valid = make([][]bool, sets)
+	c.dirty = make([]int32, 0, sets) // never grows: each set is listed once
+	c.isDirty = make([]bool, sets)
 	for s := 0; s < sets; s++ {
 		c.state[s] = NewSetState(policy, ways, rng)
 		c.lines[s] = make([]int64, ways)
@@ -74,6 +85,14 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // SetOf returns the set index for addr.
 func (c *Cache) SetOf(addr int64) int { return mem.SetIndex(addr, c.sets) }
+
+// mark records that set may differ from its just-constructed state.
+func (c *Cache) mark(set int) {
+	if !c.isDirty[set] {
+		c.isDirty[set] = true
+		c.dirty = append(c.dirty, int32(set))
+	}
+}
 
 func (c *Cache) find(addr int64) (set, way int, hit bool) {
 	line := mem.LineAddr(addr)
@@ -114,6 +133,7 @@ func (c *Cache) Touch(addr int64) bool {
 	if !hit {
 		return false
 	}
+	c.mark(set)
 	c.state[set].OnHit(way)
 	return true
 }
@@ -123,6 +143,7 @@ func (c *Cache) Touch(addr int64) bool {
 // Filling a line that is already present degenerates to Touch.
 func (c *Cache) Fill(addr int64) (evicted int64, hasEvict bool) {
 	set, way, hit := c.find(addr)
+	c.mark(set)
 	if hit {
 		c.state[set].OnHit(way)
 		return 0, false
@@ -147,6 +168,7 @@ func (c *Cache) Invalidate(addr int64) bool {
 	if !hit {
 		return false
 	}
+	c.mark(set)
 	c.valid[set][way] = false
 	c.lines[set][way] = -1
 	c.state[set].OnInvalidate(way)
@@ -155,9 +177,10 @@ func (c *Cache) Invalidate(addr int64) bool {
 }
 
 // InvalidateAll empties the cache (used by MuonTrap's filter-cache flush on
-// squash).
+// squash). Only dirty sets can hold a valid line, so only they are visited;
+// they stay dirty, since OnInvalidate moved their replacement state.
 func (c *Cache) InvalidateAll() {
-	for s := 0; s < c.sets; s++ {
+	for _, s := range c.dirty {
 		for w := 0; w < c.ways; w++ {
 			if c.valid[s][w] {
 				c.valid[s][w] = false
@@ -172,15 +195,18 @@ func (c *Cache) InvalidateAll() {
 // Reset restores the cache to its just-constructed state — every way
 // invalid, replacement state fresh, statistics zeroed — reusing the
 // existing arrays. Noise wrappers installed by AddReplacementNoise stay
-// in place (their shared Rand is reseeded by the hierarchy).
+// in place (their shared Rand is reseeded by the hierarchy). Only the
+// dirty sets are cleared; every other set is already fresh.
 func (c *Cache) Reset() {
-	for s := 0; s < c.sets; s++ {
+	for _, s := range c.dirty {
 		for w := 0; w < c.ways; w++ {
 			c.lines[s][w] = -1
 			c.valid[s][w] = false
 		}
 		c.state[s].Reset()
+		c.isDirty[s] = false
 	}
+	c.dirty = c.dirty[:0]
 	c.stats = Stats{}
 }
 
@@ -196,8 +222,13 @@ func (c *Cache) LinesInSet(set int) []int64 {
 	return out
 }
 
-// SetState exposes the replacement state of a set for white-box tests.
-func (c *Cache) SetState(set int) SetState { return c.state[set] }
+// SetState exposes the mutable replacement state of a set for white-box
+// tests. The set is marked dirty, so whatever the caller does to the state
+// is undone by the next Reset.
+func (c *Cache) SetState(set int) SetState {
+	c.mark(set)
+	return c.state[set]
+}
 
 // DumpSet renders a set for diagnostics.
 func (c *Cache) DumpSet(set int) string {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"specinterference/internal/cache"
+	"specinterference/internal/mem"
 	"specinterference/internal/schemes"
 	"specinterference/internal/uarch"
 )
@@ -178,6 +179,95 @@ func TestTrialStateTweakBypassesReuse(t *testing.T) {
 	if got := after.Signature(); got != sigBefore {
 		t.Errorf("signature after tweak detour %q != before %q", got, sigBefore)
 	}
+}
+
+// everyCache lists every cache of h: each core's private levels, then one
+// handle per LLC slice (slices are reachable only by address, so line
+// addresses are scanned until each slice has turned up).
+func everyCache(h *cache.Hierarchy) []*cache.Cache {
+	cfg := h.Config()
+	var cs []*cache.Cache
+	for c := 0; c < cfg.Cores; c++ {
+		cs = append(cs, h.L1I(c), h.L1D(c))
+		if h.HasL2() {
+			cs = append(cs, h.L2(c))
+		}
+	}
+	seen := map[*cache.Cache]bool{}
+	for a := int64(0); len(seen) < cfg.LLCSlices; a += mem.LineBytes {
+		if s := h.LLCSlice(a); !seen[s] {
+			seen[s] = true
+			cs = append(cs, s)
+		}
+	}
+	return cs
+}
+
+// cacheDiffs counts the sets (and statistics blocks) in which got differs
+// from want, reporting the first few through t when report is set.
+func cacheDiffs(t *testing.T, got, want []*cache.Cache, report bool) int {
+	t.Helper()
+	n := 0
+	for i := range want {
+		if got[i].Stats() != want[i].Stats() {
+			n++
+			if report {
+				t.Errorf("%s stats %+v, fresh %+v", got[i].Name(), got[i].Stats(), want[i].Stats())
+			}
+		}
+		for s := 0; s < want[i].Sets(); s++ {
+			if g, w := got[i].DumpSet(s), want[i].DumpSet(s); g != w {
+				n++
+				if report && n <= 5 {
+					t.Errorf("%s, fresh %s", g, w)
+				}
+			}
+		}
+	}
+	return n
+}
+
+// TestResetLeavesEveryCacheSetFresh pins the dirty-set reset at machine
+// level: after a Table 1 cell's trials (both cores, reference injection)
+// and a MuonTrap trial whose squash flushes the filter cache through
+// InvalidateAll, System.Reset leaves every set of every cache — lines,
+// valid bits, replacement state — and every cache's statistics equal to a
+// freshly built AttackConfig machine, and the memoized MuonTrap filter
+// equal to a fresh one.
+func TestResetLeavesEveryCacheSetFresh(t *testing.T) {
+	fresh := uarch.MustNewSystem(AttackConfig(), mem.New())
+	freshCaches := everyCache(fresh.Hierarchy())
+	ts := NewTrialState()
+	policy := func(name string) uarch.SpecPolicy {
+		p, err := ts.Policy(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+
+	cell := TrialSpec{Gadget: GadgetNPEU, Ordering: OrderVDAD, Secret: 1, RefCycle: 300, Policy: policy("dom")}
+	mt := policy("muontrap").(*schemes.MuonTrap)
+	muon := TrialSpec{Gadget: GadgetMSHR, Ordering: OrderVIAD, Secret: 1, Policy: mt}
+	for _, spec := range []TrialSpec{cell, muon} {
+		r, err := ts.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := r.System
+		if cacheDiffs(t, everyCache(sys.Hierarchy()), freshCaches, false) == 0 {
+			t.Fatalf("%s/%s trial left every cache fresh; the check below would be vacuous", spec.Gadget, spec.Ordering)
+		}
+		sys.Reset(1)
+		cacheDiffs(t, everyCache(sys.Hierarchy()), freshCaches, true)
+	}
+
+	if mt.Filter().Stats().Invalidates == 0 {
+		t.Fatal("MuonTrap trial never flushed a filled filter line on squash")
+	}
+	freshFilter := schemes.NewMuonTrap(mt.Filter().Sets(), mt.Filter().Ways()).Filter()
+	policy("muontrap") // the memoized handout resets the filter
+	cacheDiffs(t, []*cache.Cache{mt.Filter()}, []*cache.Cache{freshFilter}, true)
 }
 
 // TestTrialLoopAllocFree pins the tentpole's headline number: the
